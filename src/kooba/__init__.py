@@ -15,11 +15,10 @@ from .hippo import (BlockKernel, CoefficientState, HippoBasis, block_step,
                     discretize_bilinear, init_state, lookback_argument,
                     project, step)
 from .koopman import (KoopmanSystem, LiftedState, PolyODECoeffs,
-                      assemble_operator, build_companion, build_system,
-                      companion_discrete, expand_controls, lift_initial_state,
-                      poly_ode_coeffs, propagate, readout)
+                      build_companion, build_system, companion_discrete,
+                      lift_initial_state, poly_ode_coeffs, propagate, readout)
 from .data import (LorenzParams, TimeSeriesDataset, gen_lorenz, load_csv,
-                   normalize, save_csv, split_controls, window, window_count)
+                   normalize, save_csv, split_controls, window_count, windows)
 from .model import (ClosedFormResult, FlightKoobaModel, ModelConfig,
                     closed_form_b, evaluate, fit, load_model, mse, predict,
                     save_model, window_loss_grad)

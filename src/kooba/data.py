@@ -7,6 +7,7 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, InputError, NumericalError
 
@@ -154,13 +155,13 @@ def window_count(n_rows: int, seq_len: int, horizon: int, stride: int) -> int:
     return (n_rows - seq_len - horizon) // stride + 1
 
 
-def window(states: np.ndarray, controls: np.ndarray, seq_len: int, horizon: int,
-           stride: int):
-    """Yield aligned (history, future_controls, future_targets) triples.
+def windows(states: np.ndarray, controls: np.ndarray, seq_len: int, horizon: int,
+            stride: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every window as a view of the series: histories (W, F_state, seq_len),
+    future controls (W, horizon, F_control) and targets (W, F_state, horizon).
 
-    history is (seq_len, F_state), the futures are (horizon, ...) slices
-    starting right after it. Yields nothing (with a warning) when the series
-    is too short.
+    Window w starts at row w * stride; W is window_count(...), zero (with a
+    warning) when the series is too short.
     """
     if seq_len < 1 or horizon < 1 or stride < 1:
         raise ConfigError(f"seq_len, horizon, stride must be positive, got "
@@ -171,8 +172,10 @@ def window(states: np.ndarray, controls: np.ndarray, seq_len: int, horizon: int,
     if n_rows < seq_len + horizon:
         log.warning("series of %d rows too short for seq_len %d + horizon %d",
                     n_rows, seq_len, horizon)
-        return
-    for start in range(0, n_rows - seq_len - horizon + 1, stride):
-        mid = start + seq_len
-        end = mid + horizon
-        yield states[start:mid], controls[mid:end], states[mid:end]
+        return (np.empty((0, states.shape[1], seq_len)),
+                np.empty((0, horizon, controls.shape[1])),
+                np.empty((0, states.shape[1], horizon)))
+    hist = sliding_window_view(states[:n_rows - horizon], seq_len, axis=0)[::stride]
+    u_future = sliding_window_view(controls[seq_len:], horizon, axis=0)[::stride]
+    targets = sliding_window_view(states[seq_len:], horizon, axis=0)[::stride]
+    return hist, u_future.swapaxes(1, 2), targets

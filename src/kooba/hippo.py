@@ -171,13 +171,17 @@ def build_kernel(basis: HippoBasis, k: int) -> BlockKernel:
 
 
 def block_step(state: CoefficientState, block, kernel: BlockKernel) -> CoefficientState:
-    """Consume k samples at once; equivalent to k sequential step calls."""
+    """Consume k samples at once; equivalent to k sequential step calls.
+
+    block may carry leading axes (..., k), one block per entry; the state's
+    coefficients broadcast against them.
+    """
     block = np.asarray(block, dtype=float)
-    if block.shape != (kernel.k,):
+    if block.shape[-1:] != (kernel.k,):
         raise InputError(f"block length {block.shape} does not match kernel k = {kernel.k}")
     if not np.all(np.isfinite(block)):
         raise InputError(f"non-finite sample in block at step {state.step_index}")
-    c_next = kernel.powers[kernel.k - 1] @ state.c + kernel.input_map @ block
+    c_next = state.c @ kernel.powers[kernel.k - 1].T + block @ kernel.input_map.T
     return CoefficientState(c=c_next, step_index=state.step_index + kernel.k)
 
 

@@ -4,8 +4,7 @@ The coefficient vector of a projected window is rescaled into the
 coefficients a_0..a_n of a scalar linear ODE; that ODE's companion matrix A
 propagates a lifted state holding the window polynomial's value and
 derivative stack, while a rank-one control matrix B = B_base b^T injects
-exogenous inputs. The assembled block operator K = [[A, B], [0, 0]] advances
-(state; controls) jointly.
+exogenous inputs.
 
 Convention note: the derivative stack follows the rescaled chain rule
 d/ds p_n = n * p_{n-1} used consistently by the coefficient transform below,
@@ -19,7 +18,6 @@ from dataclasses import dataclass
 from math import lgamma, exp, isfinite
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from .errors import ConfigError, DegenerateCoefficientsError, InputError, NumericalError
 from .legendre import legendre_values
@@ -29,6 +27,7 @@ from .legendre import legendre_values
 MAX_DIRECT_ORDER = 32
 MAX_EXTENDED_ORDER = 64
 DEGENERATE_TOL = 1e-12
+SINGULAR_TOL = 1e-14       # smallest over largest pivot of the bilinear solve
 _LOG_DOMAIN_FROM = 20
 
 
@@ -58,25 +57,24 @@ def poly_ode_coeffs(c, extended: bool = False,
     product equal to 1. The falling products run in the log domain above order
     20 to keep them finite and accurate. By default a vanishing leading
     coefficient raises (the companion matrix downstream would be undefined);
-    require_leading=False returns the raw transform for inspection.
+    require_leading=False returns the raw transform for inspection and takes
+    c with leading axes (..., n+1), each entry computed as a single vector.
     """
     c = np.asarray(c, dtype=float)
-    if c.ndim != 1 or c.size == 0:
-        raise InputError("coefficient vector must be a non-empty 1-d array")
-    n = c.size - 1
+    if c.ndim == 0 or c.shape[-1] == 0 or (require_leading and c.ndim != 1):
+        raise InputError("coefficient vector must be a non-empty 1-d array "
+                         "(a batch needs require_leading=False)")
+    n = c.shape[-1] - 1
     check_order(n, extended)
     scale = np.sqrt((2 * np.arange(n + 1) + 1) / 2.0)
-    a = np.empty(n + 1)
     if n <= _LOG_DOMAIN_FROM:
-        prod = 1.0
-        a[0] = scale[n] * c[n]
+        falling = [1.0] * (n + 1)
         for k in range(n - 1, -1, -1):
-            prod *= k + 1                      # running product (k+1)...(n)
-            a[n - k] = scale[k] * c[k] / prod
+            falling[k] = falling[k + 1] * (k + 1)      # running product (k+1)...(n)
+        a = (scale * c / falling)[..., ::-1]
     else:
         lg_n = lgamma(n + 1)
-        for k in range(n + 1):
-            a[n - k] = scale[k] * c[k] * exp(lgamma(k + 1) - lg_n)
+        a = (scale * c * [exp(lgamma(k + 1) - lg_n) for k in range(n + 1)])[..., ::-1]
     if not np.all(np.isfinite(a)):
         raise NumericalError("non-finite ODE coefficients")
     if require_leading and abs(a[n]) < DEGENERATE_TOL:
@@ -87,43 +85,23 @@ def poly_ode_coeffs(c, extended: bool = False,
 
 
 def build_companion(coeffs: PolyODECoeffs) -> tuple[np.ndarray, np.ndarray]:
-    """Companion matrix A and base input column B_base = (0, ..., 0, 1/a_n)."""
+    """Companion matrix A and base input column B_base = (0, ..., 0, 1/a_n).
+
+    coeffs.a may carry leading axes, one system per entry.
+    """
     n = coeffs.order
-    a = coeffs.a
+    a = np.asarray(coeffs.a, dtype=float)
     if n == 0:
         raise ConfigError("order 0 is unsupported: the state vector would be empty")
-    if abs(a[n]) < DEGENERATE_TOL:
-        raise DegenerateCoefficientsError(f"leading coefficient a_n = {a[n]:.3e}")
-    A = np.zeros((n, n))
-    for i in range(n - 1):
-        A[i, i + 1] = 1.0
-    A[n - 1, :] = -a[:n] / a[n]
-    b_base = np.zeros(n)
-    b_base[n - 1] = 1.0 / a[n]
+    if np.any(np.abs(a[..., n]) < DEGENERATE_TOL):
+        raise DegenerateCoefficientsError(
+            f"leading coefficient |a_n| = {np.min(np.abs(a[..., n])):.3e}")
+    A = np.zeros(a.shape[:-1] + (n, n))
+    A[..., :-1, 1:] = np.eye(n - 1)
+    A[..., n - 1, :] = -a[..., :n] / a[..., n:]
+    b_base = np.zeros(a.shape[:-1] + (n,))
+    b_base[..., n - 1] = 1.0 / a[..., n]
     return A, b_base
-
-
-def expand_controls(b_base: np.ndarray, b) -> np.ndarray:
-    """Control matrix B = B_base b^T; only the last row is nonzero."""
-    b = np.atleast_1d(np.asarray(b, dtype=float))
-    if b.size == 0:
-        raise ConfigError("control weight vector must not be empty")
-    return np.outer(b_base, b)
-
-
-def assemble_operator(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Block operator K = [[A, B], [0, 0]] advancing (state; controls)."""
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise InputError(f"A must be square, got {A.shape}")
-    if B.ndim != 2 or B.shape[0] != A.shape[0]:
-        raise InputError(f"B rows {B.shape} do not match A {A.shape}")
-    n, m = B.shape
-    K = np.zeros((n + m, n + m))
-    K[:n, :n] = A
-    K[:n, n:] = B
-    return K
 
 
 @dataclass(frozen=True)
@@ -162,38 +140,63 @@ class KoopmanSystem:
     A: np.ndarray
     B_base: np.ndarray
     b: np.ndarray
-    B: np.ndarray
-    K: np.ndarray
     dt: float
     Abar: np.ndarray
     w: np.ndarray
 
 
-def companion_discrete(coeffs: PolyODECoeffs, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Control-independent discrete pieces (A, Abar, w) of the companion system."""
+def companion_discrete(coeffs: PolyODECoeffs,
+                       dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Control-independent discrete pieces (Abar, w, ok) of companion systems.
+
+    Abar = (I - dt/2 A)^-1 (I + dt/2 A) and w = dt (I - dt/2 A)^-1 B_base, one
+    per entry of coeffs.a's leading axes, from one stacked solve. ok is False
+    where the system is undefined, and Abar and w are zero there: a vanishing
+    leading coefficient, or a singular solve, whose smallest pivot in the
+    partially pivoted factorization of I - dt/2 A is below SINGULAR_TOL times
+    the largest (or 1).
+    """
     if dt <= 0:
         raise ConfigError(f"step size must be positive, got {dt}")
-    A, b_base = build_companion(coeffs)
     n = coeffs.order
+    a = np.asarray(coeffs.a, dtype=float)
+    ok = np.abs(a[..., n]) >= DEGENERATE_TOL
+    A, b_base = build_companion(PolyODECoeffs(a=np.where(ok[..., None], a, 1.0), order=n))
+    half = dt / 2.0
     eye = np.eye(n)
-    lu, piv = lu_factor(eye - (dt / 2.0) * A)
-    diag = np.abs(np.diag(lu))
-    if np.min(diag) < 1e-14 * max(np.max(diag), 1.0):
-        raise NumericalError(f"bilinear solve singular at dt = {dt}")
-    abar = lu_solve((lu, piv), eye + (dt / 2.0) * A)
-    w = dt * lu_solve((lu, piv), b_base)
-    return A, abar, w
+    lhs = eye - half * A
+    # I - dt/2 A is unit upper-bidiagonal but for its last row r. Elimination
+    # keeps one dense row, and a row swap only rescales it by -1/pivot, so its
+    # entry k is the Horner sum D_k = r_k + dt/2 D_{k-1} over the running
+    # record R_k = max(1, |D_0|, ..., |D_{k-1}|); the dense row wins pivot k
+    # when |D_k| > R_k, so pivot k has magnitude max(|D_k| / R_k, 1).
+    horner = lhs[..., n - 1, :].T.copy()      # entry index first
+    for k in range(1, n):
+        horner[k] += half * horner[k - 1]
+    size = np.abs(horner.T)
+    record = np.maximum.accumulate(
+        np.concatenate([np.ones(size.shape[:-1] + (1,)), size[..., :-1]], axis=-1), axis=-1)
+    pivots = size / record
+    pivots[..., :-1] = np.maximum(pivots[..., :-1], 1.0)
+    ok &= pivots.min(axis=-1) >= SINGULAR_TOL * np.maximum(pivots.max(axis=-1), 1.0)
+
+    rhs = np.concatenate([eye + half * A, b_base[..., None]], axis=-1)
+    lhs[~ok] = eye
+    rhs[~ok] = 0.0
+    sol = np.linalg.solve(lhs, rhs)
+    return sol[..., :n], dt * sol[..., n], ok
 
 
 def build_system(coeffs: PolyODECoeffs, b, dt: float) -> KoopmanSystem:
     """Assemble the full system around trained control weights b."""
     b = np.atleast_1d(np.asarray(b, dtype=float))
-    A, abar, w = companion_discrete(coeffs, dt)
-    _, b_base = build_companion(coeffs)
-    B = expand_controls(b_base, b)
-    K = assemble_operator(A, B)
-    return KoopmanSystem(coeffs=coeffs, A=A, B_base=b_base, b=b, B=B, K=K,
-                         dt=dt, Abar=abar, w=w)
+    if b.size == 0:
+        raise ConfigError("control weight vector must not be empty")
+    A, b_base = build_companion(coeffs)
+    abar, w, ok = companion_discrete(coeffs, dt)
+    if not ok:
+        raise NumericalError(f"bilinear solve singular at dt = {dt}")
+    return KoopmanSystem(coeffs=coeffs, A=A, B_base=b_base, b=b, dt=dt, Abar=abar, w=w)
 
 
 def propagate(sys: KoopmanSystem, state: LiftedState, u) -> LiftedState:

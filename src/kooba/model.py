@@ -1,17 +1,18 @@
 """End-to-end forecasting model: fit control weights, roll out forecasts.
 
 Each state feature is an independent scalar channel sharing the control
-block. Per training window the pipeline is: project the history into
-Legendre coefficients (one block update), rescale them into a companion
-system, propagate the lifted state over the horizon, and read out forecasts.
-The rollout is affine in the control weights b, so every window reduces to
+block. For every window the pipeline is: project the history into Legendre
+coefficients (one block update), rescale them into a companion system,
+propagate the lifted state over the horizon, and read out forecasts. The
+rollout is affine in the control weights b, so every window reduces to
 
     forecast = alpha + G b
 
 with alpha the control-free response and G the per-channel control response.
-Gradient descent uses the exact gradient of the MSE through that affine map;
-closed_form_b solves the same regression directly and serves as the test
-oracle for the optimizer.
+featurize builds them for all windows at once, and predict uses the same
+rollout. Gradient descent uses the exact gradient of the MSE through that
+affine map, one call per minibatch; closed_form_b solves the same regression
+directly and serves as the test oracle for the optimizer.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import hippo, koopman
-from .data import window
-from .errors import ConfigError, InputError, TrainingAbortedError
+from .data import windows
+from .errors import ConfigError, InputError, NumericalError, TrainingAbortedError
 
 log = logging.getLogger(__name__)
 
@@ -121,11 +122,16 @@ class FlightKoobaModel:
         return int(self.b.size)
 
 
-class WindowRegression(NamedTuple):
-    """Per-feature affine pieces (alpha, G, y) for one training window."""
-    alpha: list[np.ndarray]
-    G: list[np.ndarray]
-    y: list[np.ndarray]
+class Regression(NamedTuple):
+    """Affine forecast pieces of every usable window: forecast = alpha + G b."""
+    alpha: np.ndarray       # (W, F, h) control-free forecasts
+    G: np.ndarray           # (W, F, h, m) response to each control weight
+    y: np.ndarray           # (W, F, h) targets
+    skipped: int            # windows dropped for an undefined companion system
+
+
+# window x feature rows per rollout chunk: bounds the (rows, n, n) temporaries
+CHUNK_ROWS = 128
 
 
 def _as_2d(arr, name: str) -> np.ndarray:
@@ -137,90 +143,85 @@ def _as_2d(arr, name: str) -> np.ndarray:
     return arr
 
 
-def _rollout_pieces(coeffs: koopman.PolyODECoeffs, config: ModelConfig,
-                    u_future: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Control-free response alpha and per-channel response matrix G."""
-    h, m = u_future.shape
-    _, abar, w = koopman.companion_discrete(coeffs, config.eff_dt_system)
+def _rollout(config: ModelConfig, coeffs: koopman.PolyODECoeffs,
+             u_future: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Forecast pieces alpha (..., h) and G (..., h, m) of companion systems.
+
+    coeffs.a is (..., n+1); u_future (..., h, m) broadcasts against its
+    leading axes. Convolution form of the lifted recurrence x' = Abar x + w u:
+    carry Abar^t [x0, w] for t = 0..h, read alpha off the first column and the
+    control impulse response k off the second, then G = Toeplitz(k) u. The
+    third result marks the systems that are defined (koopman.companion_discrete).
+    """
+    h = u_future.shape[-2]
+    abar, w, ok = koopman.companion_discrete(coeffs, config.eff_dt_system)
     a = coeffs.a
-    alpha = np.empty(h)
-    G = np.empty((h, m))
-    x = koopman.lift_initial_state(config.order, config.s0).x
-    xc = np.zeros((m, config.order))    # control responses start from rest
+    carry = np.empty(w.shape[:-1] + (h + 1,) + w.shape[-1:] + (2,))   # (..., h+1, n, 2)
+    carry[..., 0, :, 0] = koopman.lift_initial_state(config.order, config.s0).x
+    carry[..., 0, :, 1] = w
     for t in range(h):
-        x1_prev = x[0]
-        x = abar @ x
-        alpha[t] = a[0] * x1_prev + a[1:] @ x
-        xc_prev = xc[:, 0].copy()
-        xc = xc @ abar.T + np.outer(u_future[t], w)
-        G[t] = a[0] * xc_prev + xc @ a[1:]
-    return alpha, G
+        carry[..., t + 1, :, :] = abar @ carry[..., t, :, :]
+    first = carry[..., 0, :]                                 # (..., h+1, 2)
+    dot = (a[..., None, None, 1:] @ carry)[..., 0, :]        # a_1.. . carry
+    a0 = a[..., :1]
+    alpha = a0 * first[..., :h, 0] + dot[..., 1:, 0]
+    k = dot[..., :h, 1].copy()
+    k[..., 1:] += a0 * first[..., :h - 1, 1]
+    lag = np.arange(h)[:, None] - np.arange(h)
+    return alpha, (k[..., lag % h] * (lag >= 0)) @ u_future, ok
 
 
-def _window_regression(config: ModelConfig, basis: hippo.HippoBasis,
-                       kernel: hippo.BlockKernel, history: np.ndarray,
-                       u_future: np.ndarray, targets: np.ndarray) -> WindowRegression | None:
-    """Affine forecast pieces for every feature of one window; None if degenerate."""
-    alphas, gs, ys = [], [], []
-    n_feat = history.shape[1]
-    for f in range(n_feat):
-        try:
-            if config.teacher_forcing:
-                alpha, G = _teacher_forced_pieces(config, basis, history[:, f],
-                                                  targets[:, f], u_future)
-            else:
-                state = hippo.block_step(hippo.init_state(config.order),
-                                         history[:, f], kernel)
-                coeffs = koopman.poly_ode_coeffs(state.c, config.extended_order)
-                alpha, G = _rollout_pieces(coeffs, config, u_future)
-        except koopman.DegenerateCoefficientsError:
-            return None
-        alphas.append(alpha)
-        gs.append(G)
-        ys.append(targets[:, f])
-    return WindowRegression(alphas, gs, ys)
+def featurize(config: ModelConfig, states: np.ndarray, controls: np.ndarray) -> Regression:
+    """Affine pieces of every window as arrays, CHUNK_ROWS rows at a time.
 
-
-def _teacher_forced_pieces(config: ModelConfig, basis: hippo.HippoBasis,
-                           history: np.ndarray, truth: np.ndarray,
-                           u_future: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One-step forecasts from histories extended with true samples."""
-    h, m = u_future.shape
-    alpha = np.empty(h)
-    G = np.empty((h, m))
-    extended = np.concatenate([history, truth])
-    for t in range(h):
-        state = hippo.project(basis, extended[t:t + config.seq_len])
-        coeffs = koopman.poly_ode_coeffs(state.c, config.extended_order)
-        one_alpha, one_g = _rollout_pieces(coeffs, config, u_future[t:t + 1])
-        alpha[t] = one_alpha[0]
-        G[t] = one_g[0]
-    return alpha, G
-
-
-def _collect_windows(config: ModelConfig, states: np.ndarray,
-                     controls: np.ndarray) -> tuple[list[WindowRegression], int]:
-    basis = build_basis(config)
-    kernel = hippo.build_kernel(basis, config.seq_len)
-    regressions: list[WindowRegression] = []
-    skipped = 0
-    for history, u_future, targets in window(states, controls, config.seq_len,
-                                             config.horizon, config.eff_stride):
-        reg = _window_regression(config, basis, kernel, history, u_future, targets)
-        if reg is None:
-            skipped += 1
-        else:
-            regressions.append(reg)
-    return regressions, skipped
+    A window is skipped when any feature's companion system is undefined (a
+    vanishing leading coefficient or a singular bilinear solve). With
+    teacher_forcing, step t of a window is the one-step forecast from the
+    history shifted t samples forward into the true future.
+    """
+    if controls.shape[1] != config.controls:
+        raise InputError(f"control matrix has {controls.shape[1]} columns, "
+                         f"config expects {config.controls}")
+    L, h, stride = config.seq_len, config.horizon, config.eff_stride
+    hist, u_future, y = windows(states, controls, L, h, stride)
+    if config.teacher_forcing:
+        hist, u_future, _ = windows(states, controls, L, 1, 1)
+    n_rows, n_feat, _ = hist.shape
+    alpha = np.empty((n_rows, n_feat, u_future.shape[1]))
+    G = np.empty(alpha.shape + (config.controls,))
+    ok = np.empty((n_rows, n_feat), dtype=bool)
+    kernel = hippo.build_kernel(build_basis(config), L)
+    zero = hippo.init_state(config.order)
+    step = max(1, CHUNK_ROWS // n_feat)
+    for lo in range(0, n_rows, step):
+        rows = slice(lo, lo + step)
+        c = hippo.block_step(zero, hist[rows], kernel).c
+        coeffs = koopman.poly_ode_coeffs(c, config.extended_order, require_leading=False)
+        alpha[rows], G[rows], ok[rows] = _rollout(config, coeffs, u_future[rows, None])
+    if config.teacher_forcing:
+        at = np.arange(y.shape[0])[:, None] * stride + np.arange(h)     # (W, h)
+        alpha = alpha[at, :, 0].transpose(0, 2, 1)
+        G = G[at, :, 0].transpose(0, 2, 1, 3)
+        ok = ok[at].all(axis=1)
+    usable = ok.all(axis=1)
+    skipped = int(usable.size - np.count_nonzero(usable))
+    if skipped:
+        alpha, G, y = alpha[usable], G[usable], y[usable]
+    return Regression(alpha=alpha, G=G, y=y, skipped=skipped)
 
 
 def window_loss_grad(alpha: np.ndarray, G: np.ndarray, y: np.ndarray,
                      b: np.ndarray) -> tuple[float, np.ndarray]:
-    """MSE and its exact gradient in b for one window's affine forecast."""
-    residual = alpha + G @ b - y
-    loss = float(residual @ residual) / residual.size
-    grad = 2.0 * (G.T @ residual) / residual.size
-    return loss, grad
+    """MSE and its exact gradient in b for affine forecasts alpha + G b.
+
+    alpha and y are (..., h), G is (..., h, m) and b is (..., m). Leading axes
+    of G that b lacks are a batch of windows: the loss is the mean over every
+    forecast and the gradient is the batch mean of each window's gradient.
+    """
+    residual = alpha + (G @ b[..., None])[..., 0] - y
+    loss = float(np.mean(residual * residual))
+    grad = 2.0 * (residual[..., None, :] @ G)[..., 0, :] / residual.shape[-1]
+    return loss, grad.reshape((-1,) + b.shape).mean(axis=0)
 
 
 def mse(pred, truth) -> float:
@@ -236,50 +237,36 @@ def mse(pred, truth) -> float:
 def fit(config: ModelConfig, states, controls) -> FlightKoobaModel:
     """Train per-feature control weights by minibatch gradient descent.
 
-    Windows are precomputed once (the companion system is frozen per window),
+    Windows are featurized once (the companion system is frozen per window),
     then each epoch shuffles them with the seeded generator and walks
-    minibatches of batch_size windows. b starts at zero.
+    minibatches of batch_size windows, one window_loss_grad call each. b
+    starts at zero.
     """
     states = _as_2d(states, "states")
     controls = _as_2d(controls, "controls")
-    if states.shape[0] != controls.shape[0]:
-        raise InputError("states and controls are not aligned in time")
     if states.shape[0] < config.seq_len + config.horizon:
         raise InputError(f"series of {states.shape[0]} rows is shorter than "
                          f"seq_len + horizon = {config.seq_len + config.horizon}")
-    if controls.shape[1] != config.controls:
-        raise InputError(f"control matrix has {controls.shape[1]} columns, "
-                         f"config expects {config.controls}")
-
-    regressions, skipped = _collect_windows(config, states, controls)
-    n_feat = states.shape[1]
-    b = np.zeros((n_feat, config.controls))
+    reg = featurize(config, states, controls)
+    n_win = reg.alpha.shape[0]
+    b = np.zeros((states.shape[1], config.controls))
     velocity = np.zeros_like(b)
     rng = np.random.default_rng(config.seed)
     history: list[float] = []
 
-    if not regressions:
-        log.warning("no usable training windows (%d skipped)", skipped)
+    if n_win == 0:
+        log.warning("no usable training windows (%d skipped)", reg.skipped)
         return FlightKoobaModel(config=config, b=b,
                                 loss_history=[0.0] * config.epochs,
-                                skipped_windows=skipped)
+                                skipped_windows=reg.skipped)
 
     for epoch in range(config.epochs):
-        order = rng.permutation(len(regressions))
+        order = rng.permutation(n_win)
         epoch_loss = 0.0
-        for lo in range(0, len(order), config.batch_size):
+        for lo in range(0, n_win, config.batch_size):
             batch = order[lo:lo + config.batch_size]
-            grad = np.zeros_like(b)
-            batch_loss = 0.0
-            for wi in batch:
-                reg = regressions[wi]
-                for f in range(n_feat):
-                    loss_f, grad_f = window_loss_grad(reg.alpha[f], reg.G[f],
-                                                      reg.y[f], b[f])
-                    batch_loss += loss_f
-                    grad[f] += grad_f
-            grad /= len(batch)
-            batch_loss /= len(batch) * n_feat
+            batch_loss, grad = window_loss_grad(reg.alpha[batch], reg.G[batch],
+                                                reg.y[batch], b)
             if not np.isfinite(batch_loss):
                 raise TrainingAbortedError(
                     f"non-finite loss at epoch {epoch}, window batch starting at "
@@ -290,10 +277,10 @@ def fit(config: ModelConfig, states, controls) -> FlightKoobaModel:
             else:
                 b = b - config.learning_rate * grad
             epoch_loss += batch_loss * len(batch)
-        history.append(epoch_loss / len(regressions))
+        history.append(epoch_loss / n_win)
 
     return FlightKoobaModel(config=config, b=b, loss_history=history,
-                            skipped_windows=skipped)
+                            skipped_windows=reg.skipped)
 
 
 class ClosedFormResult(NamedTuple):
@@ -309,15 +296,15 @@ def closed_form_b(config: ModelConfig, states, controls) -> ClosedFormResult:
     """
     states = _as_2d(states, "states")
     controls = _as_2d(controls, "controls")
-    regressions, _ = _collect_windows(config, states, controls)
-    if not regressions:
+    reg = featurize(config, states, controls)
+    if reg.alpha.shape[0] == 0:
         raise InputError("no usable training windows for the least-squares oracle")
     n_feat = states.shape[1]
     b = np.empty((n_feat, config.controls))
     flags: list[bool] = []
     for f in range(n_feat):
-        design = np.vstack([reg.G[f] for reg in regressions])
-        rhs = np.concatenate([reg.y[f] - reg.alpha[f] for reg in regressions])
+        design = reg.G[:, f].reshape(-1, config.controls)
+        rhs = (reg.y[:, f] - reg.alpha[:, f]).ravel()
         sol, _, rank, _ = np.linalg.lstsq(design, rhs, rcond=None)
         deficient = rank < config.controls
         if deficient:
@@ -332,7 +319,8 @@ def predict(model: FlightKoobaModel, c_state: hippo.CoefficientState,
             u_future, feature: int = 0) -> np.ndarray:
     """Roll the companion system forward from a coefficient state.
 
-    Alternates propagate and readout for one step per row of u_future.
+    One forecast per row of u_future: alpha + G b from the same rollout the
+    training windows use.
     """
     config = model.config
     u_future = np.asarray(u_future, dtype=float)
@@ -345,13 +333,15 @@ def predict(model: FlightKoobaModel, c_state: hippo.CoefficientState,
                          f"config expects {config.controls}")
     if not 0 <= feature < model.n_features:
         raise InputError(f"feature index {feature} out of range")
+    if not np.all(np.isfinite(u_future)):
+        raise InputError("non-finite control input")
     coeffs = koopman.poly_ode_coeffs(c_state.c, config.extended_order)
-    system = koopman.build_system(coeffs, model.b[feature], config.eff_dt_system)
-    state = koopman.lift_initial_state(config.order, config.s0)
-    out = np.empty(u_future.shape[0])
-    for t in range(u_future.shape[0]):
-        state = koopman.propagate(system, state, u_future[t])
-        out[t] = koopman.readout(system, state)
+    alpha, G, ok = _rollout(config, coeffs, u_future)
+    if not ok:
+        raise NumericalError(f"bilinear solve singular at dt = {config.eff_dt_system}")
+    out = alpha + G @ model.b[feature]
+    if not np.all(np.isfinite(out)):
+        raise NumericalError("non-finite forecast")
     return out
 
 
@@ -359,26 +349,19 @@ def evaluate(model: FlightKoobaModel, states, controls) -> dict:
     """Per-feature and mean MSE of the trained model over the given rows."""
     states = _as_2d(states, "states")
     controls = _as_2d(controls, "controls")
-    regressions, skipped = _collect_windows(model.config, states, controls)
-    n_feat = states.shape[1]
-    if n_feat != model.n_features:
+    if states.shape[1] != model.n_features:
         raise InputError(f"model was trained on {model.n_features} features, "
-                         f"got {n_feat}")
-    if not regressions:
+                         f"got {states.shape[1]}")
+    reg = featurize(model.config, states, controls)
+    if reg.alpha.shape[0] == 0:
         raise InputError("no usable evaluation windows")
-    sq_err = np.zeros(n_feat)
-    count = 0
-    for reg in regressions:
-        for f in range(n_feat):
-            residual = reg.alpha[f] + reg.G[f] @ model.b[f] - reg.y[f]
-            sq_err[f] += residual @ residual
-        count += reg.y[0].size
-    per_feature = sq_err / count
+    residual = reg.alpha + (reg.G @ model.b[..., None])[..., 0] - reg.y
+    per_feature = np.mean(residual * residual, axis=(0, 2))
     return {
         "per_feature": [float(v) for v in per_feature],
         "mean": float(np.mean(per_feature)),
-        "windows": len(regressions),
-        "skipped_windows": skipped,
+        "windows": reg.alpha.shape[0],
+        "skipped_windows": reg.skipped,
     }
 
 

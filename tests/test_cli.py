@@ -1,4 +1,6 @@
 import json
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -187,3 +189,45 @@ def test_validate_report_catches_problems(tmp_path, synthetic_csv):
     problems = cli.validate_report(report)
     assert any("mse.mean" in p for p in problems)
     assert any("loss_curve" in p for p in problems)
+
+
+def test_eval_rejects_model_flags(tmp_path, synthetic_csv, capsys):
+    _, out = _train(tmp_path, synthetic_csv, "out")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["eval", "--model", str(out / "model.json"),
+                  "--dataset", f"csv:{synthetic_csv}", "--order", "3",
+                  "--method", "legt", "--epochs", "7", "--out", str(tmp_path / "ev")])
+    assert exc.value.code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "--order" in err and "--method" in err and "--epochs" in err
+    assert not (tmp_path / "ev").exists()
+
+
+def test_train_time_is_measured_without_tracemalloc(tmp_path, synthetic_csv, monkeypatch):
+    real_fit = cli.model_mod.fit
+    calls = []
+
+    def recording_fit(*args):
+        tracing = tracemalloc.is_tracing()
+        calls.append(tracing)
+        if tracing:
+            time.sleep(0.5)    # a traced call would show up in the reported time
+        return real_fit(*args)
+
+    monkeypatch.setattr(cli.model_mod, "fit", recording_fit)
+    rc, out = _train(tmp_path, synthetic_csv, "out", ["--repeats", "2"])
+    assert rc == cli.EXIT_OK
+    report = json.loads((out / "report.json").read_text())
+    assert calls.count(False) == 2 and True in calls
+    assert report["train_time_ms_stats"]["min"] < 500.0
+    assert report["train_time_ms"] < 500.0
+    assert report["memory_bytes_estimate"] > 0
+
+
+def test_singular_windows_do_not_abort_training(tmp_path):
+    out = tmp_path / "o12"
+    rc = cli.main(["train", "--dataset", "lorenz", "--order", "12", "--out", str(out)])
+    assert rc == cli.EXIT_OK
+    report = json.loads((out / "report.json").read_text())
+    assert np.isfinite(report["mse"]["mean"])
+    assert report["skipped_windows"] > 0

@@ -3,7 +3,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from kooba import (ConfigError, InputError, LorenzParams, gen_lorenz, load_csv,
-                   normalize, save_csv, split_controls, window, window_count)
+                   normalize, save_csv, split_controls, window_count, windows)
 
 
 def test_lorenz_zero_is_a_fixed_point():
@@ -143,26 +143,38 @@ def test_window_counts():
 def test_window_alignment():
     states = np.arange(20.0)[:, None]
     controls = np.arange(20.0)[:, None] + 100.0
-    triples = list(window(states, controls, seq_len=8, horizon=4, stride=8))
-    assert len(triples) == window_count(20, 8, 4, 8) == 2
-    hist, u_fut, targets = triples[0]
-    np.testing.assert_array_equal(hist[:, 0], np.arange(8.0))
-    np.testing.assert_array_equal(u_fut[:, 0], np.arange(8.0, 12.0) + 100.0)
-    np.testing.assert_array_equal(targets[:, 0], np.arange(8.0, 12.0))
-    hist, u_fut, targets = triples[1]
-    np.testing.assert_array_equal(hist[:, 0], np.arange(8.0, 16.0))
-    np.testing.assert_array_equal(targets[:, 0], np.arange(16.0, 20.0))
+    hist, u_fut, targets = windows(states, controls, seq_len=8, horizon=4, stride=8)
+    assert len(hist) == len(u_fut) == len(targets) == window_count(20, 8, 4, 8) == 2
+    np.testing.assert_array_equal(hist[0, 0], np.arange(8.0))
+    np.testing.assert_array_equal(u_fut[0, :, 0], np.arange(8.0, 12.0) + 100.0)
+    np.testing.assert_array_equal(targets[0, 0], np.arange(8.0, 12.0))
+    np.testing.assert_array_equal(hist[1, 0], np.arange(8.0, 16.0))
+    np.testing.assert_array_equal(targets[1, 0], np.arange(16.0, 20.0))
+
+
+def test_windows_are_views_of_the_series():
+    states = np.arange(40.0).reshape(20, 2)
+    controls = np.arange(20.0)[:, None] + 100.0
+    hist, u_fut, targets = windows(states, controls, seq_len=8, horizon=3, stride=4)
+    assert hist.shape == (3, 2, 8) and u_fut.shape == (3, 3, 1) and targets.shape == (3, 2, 3)
+    assert np.shares_memory(hist, states) and np.shares_memory(u_fut, controls)
+    for w in range(3):
+        s = 4 * w
+        np.testing.assert_array_equal(hist[w].T, states[s:s + 8])
+        np.testing.assert_array_equal(u_fut[w], controls[s + 8:s + 11])
+        np.testing.assert_array_equal(targets[w].T, states[s + 8:s + 11])
 
 
 def test_window_short_series_yields_nothing():
     states = np.zeros((5, 1))
     controls = np.zeros((5, 1))
-    assert list(window(states, controls, seq_len=8, horizon=4, stride=8)) == []
+    hist, u_fut, targets = windows(states, controls, seq_len=8, horizon=4, stride=8)
+    assert hist.shape == (0, 1, 8) and u_fut.shape == (0, 4, 1) and targets.shape == (0, 1, 4)
 
 
 def test_window_guards():
     states = np.zeros((20, 1))
     with pytest.raises(ConfigError):
-        list(window(states, states, 0, 4, 8))
+        windows(states, states, 0, 4, 8)
     with pytest.raises(InputError):
-        list(window(states, np.zeros((19, 1)), 8, 4, 8))
+        windows(states, np.zeros((19, 1)), 8, 4, 8)

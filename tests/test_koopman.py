@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from kooba import (ConfigError, DegenerateCoefficientsError, InputError,
-                   LiftedState, PolyODECoeffs, assemble_operator,
-                   build_companion, build_system, expand_controls,
+                   LiftedState, PolyODECoeffs, build_companion, build_system,
                    lift_initial_state, poly_ode_coeffs, propagate, readout)
 from kooba.koopman import check_order
 
@@ -39,6 +38,16 @@ def test_transform_against_exact_factorials():
         c = rng.normal(size=n + 1)
         got = poly_ode_coeffs(c, require_leading=False).a
         np.testing.assert_allclose(got, _transform_oracle(c), rtol=1e-10)
+
+
+def test_transform_of_a_batch_is_bit_identical():
+    rng = np.random.default_rng(6)
+    for n in (1, 6, 20, 21, 40):
+        c = rng.normal(size=(4, 3, n + 1))
+        batch = poly_ode_coeffs(c, extended=True, require_leading=False).a
+        for i in np.ndindex(4, 3):
+            single = poly_ode_coeffs(c[i], extended=True, require_leading=False).a
+            np.testing.assert_array_equal(batch[i], single)
 
 
 def test_order_limits():
@@ -85,35 +94,6 @@ def test_companion_guards():
         build_companion(PolyODECoeffs(a=np.array([1.0, 0.0]), order=1))
 
 
-def test_control_expansion_pattern():
-    B = expand_controls(np.array([0.0, 0.0, 2.0]), [0.5, -1.0])
-    np.testing.assert_allclose(B, [[0.0, 0.0], [0.0, 0.0], [1.0, -2.0]])
-    np.testing.assert_allclose(expand_controls(np.array([0.0, 1.0]), 3.0),
-                               [[0.0], [3.0]])
-    with pytest.raises(ConfigError):
-        expand_controls(np.array([1.0]), [])
-
-
-def test_block_operator_advances_jointly():
-    rng = np.random.default_rng(4)
-    A = rng.normal(size=(3, 3))
-    B = rng.normal(size=(3, 2))
-    K = assemble_operator(A, B)
-    assert K.shape == (5, 5)
-    z = rng.normal(size=3)
-    u = rng.normal(size=2)
-    out = K @ np.concatenate([z, u])
-    np.testing.assert_allclose(out[:3], A @ z + B @ u, atol=1e-14)
-    np.testing.assert_allclose(out[3:], 0.0)
-
-
-def test_block_operator_shape_errors():
-    with pytest.raises(InputError):
-        assemble_operator(np.zeros((2, 3)), np.zeros((2, 1)))
-    with pytest.raises(InputError):
-        assemble_operator(np.eye(2), np.zeros((3, 1)))
-
-
 def test_lifted_state_values():
     state = lift_initial_state(1)
     np.testing.assert_allclose(state.x, [1.0])
@@ -158,6 +138,8 @@ def test_propagate_input_checks():
         propagate(sys, state, [float("nan")])
     with pytest.raises(ConfigError):
         build_system(PolyODECoeffs(a=np.array([1.0, 1.0]), order=1), [0.5], 0.0)
+    with pytest.raises(ConfigError):
+        build_system(PolyODECoeffs(a=np.array([1.0, 1.0]), order=1), [], 0.1)
 
 
 def test_readout_uses_retained_first_entry():

@@ -4,11 +4,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kooba import (ConfigError, InputError, ModelConfig, closed_form_b,
-                   evaluate, fit, init_state, load_model, mse, predict,
-                   save_model, window_loss_grad)
+from scipy.linalg import lu_factor
+
+from kooba import (ConfigError, DegenerateCoefficientsError, InputError,
+                   ModelConfig, NumericalError, closed_form_b, evaluate, fit,
+                   gen_lorenz, init_state, koopman, load_model, mse, normalize,
+                   predict, save_model, split_controls, window_count,
+                   window_loss_grad)
 from kooba.hippo import project
-from kooba.model import FlightKoobaModel, build_basis
+from kooba.model import CHUNK_ROWS, FlightKoobaModel, build_basis, featurize
 
 from conftest import realizable_series
 
@@ -265,3 +269,200 @@ def test_fit_ignores_cold_state_reuse(realizable_fixture):
     cold = project(basis, states[:8, 0])
     warm = project(basis, states[:8, 0], state=init_state(config.order))
     np.testing.assert_array_equal(cold.c, warm.c)
+
+
+# ---- batched featurizer against the reference step API ----------------------
+
+def _smooth_series(n_rows, n_feat, n_ctrl, seed):
+    rng = np.random.default_rng(seed)
+    t = np.arange(n_rows, dtype=float)
+    cols = [0.5 + 0.4 * np.sin(2 * np.pi * t / rng.uniform(9, 31) + rng.uniform(0, 6))
+            for _ in range(n_feat + n_ctrl)]
+    table = np.column_stack(cols) + 0.01 * rng.normal(size=(n_rows, n_feat + n_ctrl))
+    return table[:, :n_feat], table[:, n_feat:]
+
+
+def _reference_rollout(config, c, u_future, b):
+    """Forecasts from one coefficient state by propagate/readout steps."""
+    coeffs = koopman.poly_ode_coeffs(c, config.extended_order)
+    system = koopman.build_system(coeffs, b, config.eff_dt_system)
+    state = koopman.lift_initial_state(config.order, config.s0)
+    out = []
+    for u in u_future:
+        state = koopman.propagate(system, state, u)
+        out.append(koopman.readout(system, state))
+    return np.array(out)
+
+
+def _reference_pieces(config, states, controls):
+    """alpha, G, y per window and feature from hippo.project and the step API.
+
+    Step t of a teacher-forced window is the one-step forecast from the
+    history shifted t samples forward.
+    """
+    basis = build_basis(config)
+    L, h, m = config.seq_len, config.horizon, config.controls
+    alpha, G, y = [], [], []
+    for start in range(0, states.shape[0] - L - h + 1, config.eff_stride):
+        if config.teacher_forcing:
+            steps = [(start + t, 1) for t in range(h)]
+        else:
+            steps = [(start, h)]
+        a_w = np.empty((states.shape[1], h))
+        g_w = np.empty((states.shape[1], h, m))
+        for f in range(states.shape[1]):
+            col = 0
+            for s, length in steps:
+                c = project(basis, states[s:s + L, f]).c
+                u = controls[s + L:s + L + length]
+                base = _reference_rollout(config, c, u, np.zeros(m))
+                a_w[f, col:col + length] = base
+                for j in range(m):
+                    g_w[f, col:col + length, j] = (
+                        _reference_rollout(config, c, u, np.eye(m)[j]) - base)
+                col += length
+        alpha.append(a_w)
+        G.append(g_w)
+        y.append(states[start + L:start + L + h].T)
+    return np.array(alpha), np.array(G), np.array(y)
+
+
+def _rel(got, ref):
+    return float(np.max(np.abs(got - ref)) / np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("method", ["legs", "legt"])
+@pytest.mark.parametrize("horizon", [1, 8])
+@pytest.mark.parametrize("controls", [1, 2])
+def test_featurize_matches_step_api(method, horizon, controls):
+    # 70 windows x 2 features: the second chunk of rows is partial
+    config = ModelConfig(method=method, order=5, horizon=horizon, stride=3,
+                         controls=controls)
+    n_win = 70
+    assert (n_win * 2) % CHUNK_ROWS != 0
+    states, ctrl = _smooth_series(8 + horizon + 3 * (n_win - 1), 2, controls, seed=horizon)
+    reg = featurize(config, states, ctrl)
+    alpha, G, y = _reference_pieces(config, states, ctrl)
+    assert reg.skipped == 0 and reg.alpha.shape == (n_win, 2, horizon)
+    assert _rel(reg.alpha, alpha) < 1e-12
+    assert _rel(reg.G, G) < 1e-12
+    np.testing.assert_array_equal(reg.y, y)
+
+    b = np.array([[0.3, -0.2][:controls], [-0.4, 0.1][:controls]])
+    model = FlightKoobaModel(config=config, b=b)
+    basis = build_basis(config)
+    for w in (0, 41, n_win - 1):
+        s = 3 * w
+        for f in range(2):
+            state = project(basis, states[s:s + 8, f])
+            u = ctrl[s + 8:s + 8 + horizon]
+            got = predict(model, state, u, f)
+            assert _rel(got, _reference_rollout(config, state.c, u, b[f])) < 1e-12
+            assert _rel(got, alpha[w, f] + G[w, f] @ b[f]) < 1e-12
+
+
+def test_teacher_forced_featurize_matches_step_api():
+    config = ModelConfig(order=4, horizon=3, stride=5, controls=2, teacher_forcing=True)
+    states, ctrl = _smooth_series(120, 2, 2, seed=9)
+    reg = featurize(config, states, ctrl)
+    alpha, G, y = _reference_pieces(config, states, ctrl)
+    assert _rel(reg.alpha, alpha) < 1e-12
+    assert _rel(reg.G, G) < 1e-12
+    np.testing.assert_array_equal(reg.y, y)
+
+
+def _reference_sgd(config, alpha, G, y):
+    """Minibatch descent with one window_loss_grad call per window and feature."""
+    n_win, n_feat = alpha.shape[:2]
+    b = np.zeros((n_feat, config.controls))
+    velocity = np.zeros_like(b)
+    rng = np.random.default_rng(config.seed)
+    history = []
+    for _ in range(config.epochs):
+        order = rng.permutation(n_win)
+        epoch_loss = 0.0
+        for lo in range(0, n_win, config.batch_size):
+            batch = order[lo:lo + config.batch_size]
+            grad = np.zeros_like(b)
+            batch_loss = 0.0
+            for w in batch:
+                for f in range(n_feat):
+                    loss_f, grad_f = window_loss_grad(alpha[w, f], G[w, f], y[w, f], b[f])
+                    batch_loss += loss_f
+                    grad[f] += grad_f
+            grad /= len(batch)
+            batch_loss /= len(batch) * n_feat
+            velocity = config.momentum * velocity - config.learning_rate * grad
+            b = b + velocity
+            epoch_loss += batch_loss * len(batch)
+        history.append(epoch_loss / n_win)
+    return b, np.array(history)
+
+
+@pytest.mark.parametrize("momentum", [0.0, 0.6])
+def test_fit_matches_per_window_descent(momentum):
+    config = ModelConfig(order=4, horizon=2, stride=4, controls=2, epochs=6,
+                         batch_size=7, learning_rate=0.05, momentum=momentum, seed=5)
+    states, ctrl = _smooth_series(300, 2, 2, seed=3)
+    alpha, G, y = _reference_pieces(config, states, ctrl)
+    b_ref, loss_ref = _reference_sgd(config, alpha, G, y)
+    model = fit(config, states, ctrl)
+    assert _rel(model.b, b_ref) < 1e-12
+    assert _rel(np.array(model.loss_history), loss_ref) < 1e-12
+    assert model.b.shape == (2, 2)
+
+
+def test_batched_loss_is_the_mean_of_window_losses():
+    rng = np.random.default_rng(8)
+    alpha, y = rng.normal(size=(2, 5, 3, 4))
+    G = rng.normal(size=(5, 3, 4, 2))
+    b = rng.normal(size=(3, 2))
+    loss, grad = window_loss_grad(alpha, G, y, b)
+    pieces = [[window_loss_grad(alpha[w, f], G[w, f], y[w, f], b[f]) for f in range(3)]
+              for w in range(5)]
+    assert loss == pytest.approx(np.mean([[p[0] for p in row] for row in pieces]), rel=1e-14)
+    np.testing.assert_allclose(grad, np.mean([[p[1] for p in row] for row in pieces], axis=0),
+                               rtol=1e-13)
+
+
+@pytest.fixture(scope="module")
+def lorenz_train():
+    ds = normalize(["x", "y", "z"], gen_lorenz())
+    states, controls = split_controls(ds, 1)
+    return states[:ds.split_index], controls[:ds.split_index]
+
+
+def test_singular_windows_are_skipped_like_the_pivoted_lu_check(lorenz_train):
+    # per window and feature: the pivoted LU check of I - dt/2 A that a
+    # single-window discretization used, with the same 1e-14 relative bound
+    states, controls = lorenz_train
+    config = ModelConfig(order=12, epochs=2)
+    basis = build_basis(config)
+    dt = config.eff_dt_system
+    flagged = np.zeros((window_count(states.shape[0], 8, 1, 8), 2), dtype=bool)
+    coeffs = np.empty(flagged.shape + (13,))
+    for w in range(flagged.shape[0]):
+        for f in range(2):
+            try:
+                c = koopman.poly_ode_coeffs(project(basis, states[8 * w:8 * w + 8, f]).c)
+            except DegenerateCoefficientsError:
+                flagged[w, f] = True
+                continue
+            coeffs[w, f] = c.a
+            A, _ = koopman.build_companion(c)
+            lu, _ = lu_factor(np.eye(12) - dt / 2.0 * A)
+            pivots = np.abs(np.diag(lu))
+            flagged[w, f] = pivots.min() < 1e-14 * max(pivots.max(), 1.0)
+    assert flagged.size == 2624 and np.count_nonzero(flagged) == 10
+
+    abar, w, ok = koopman.companion_discrete(koopman.PolyODECoeffs(a=coeffs, order=12), dt)
+    np.testing.assert_array_equal(~ok, flagged)
+    assert np.all(abar[flagged] == 0.0) and np.all(w[flagged] == 0.0)
+
+    model = fit(config, states, controls)
+    assert model.skipped_windows == np.count_nonzero(flagged.any(axis=1))
+    assert np.all(np.isfinite(model.b))
+    w, f = np.argwhere(flagged)[0]
+    with pytest.raises(NumericalError, match="singular"):
+        predict(model, project(basis, states[8 * w:8 * w + 8, f]),
+                controls[8 * w + 8:8 * w + 9], f)
