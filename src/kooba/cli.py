@@ -20,7 +20,6 @@ import sys
 import time
 import tracemalloc
 from dataclasses import asdict, fields, replace
-from importlib import resources
 from pathlib import Path
 from statistics import mean, pstdev
 
@@ -35,6 +34,38 @@ from .model import ModelConfig
 log = logging.getLogger(__name__)
 
 SCHEMA_VERSION = 1
+
+# report shape, field -> kind per section: every document has the "report"
+# fields, train and eval reports add their own, and a bench report's rows are
+# each a "row", or a "row_failure" for a dataset that failed
+_SCORED_FIELDS = {"dataset": "str", "config": "dict", "mse": "dict", "parameters": "dict",
+                  "loss_curve": "list[number]", "skipped_windows": "int"}
+REPORT_FIELDS = {
+    "report": {"schema": "int", "command": "str", "seed": "int"},
+    "train": {**_SCORED_FIELDS, "train_time_ms": "positive_number",
+              "memory_bytes_estimate": "positive_int"},
+    "eval": {**_SCORED_FIELDS, "eval_time_ms": "positive_number"},
+    "row": {"dataset": "str", "mse_mean": "number", "train_time_ms": "positive_number",
+            "memory_bytes_estimate": "positive_int", "parameters": "str", "seed": "int"},
+    "row_failure": {"dataset": "str", "error": "str"},
+    "mse": {"per_feature": "list[number]", "mean": "number"},
+    "parameters": {"controls": "int", "total": "int", "format": "str"},
+}
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+_KINDS = {
+    "int": lambda v: _is_number(v) and isinstance(v, int),
+    "str": lambda v: isinstance(v, str),
+    "dict": lambda v: isinstance(v, dict),
+    "number": _is_number,
+    "positive_number": lambda v: _is_number(v) and v > 0,
+    "positive_int": lambda v: _is_number(v) and isinstance(v, int) and v > 0,
+    "list[number]": lambda v: isinstance(v, list) and all(_is_number(x) for x in v),
+}
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -174,27 +205,33 @@ def run_dataset(config: ModelConfig, spec: str, repeats: int) -> tuple[dict, mod
     finally:
         tracemalloc.stop()
 
-    m = config.controls
-    total = first_model.parameter_count
-    report = {
-        "schema": SCHEMA_VERSION,
-        "command": "train",
-        "dataset": tag,
-        "seed": config.seed,
-        "config": config_echo(config),
-        "mse": {"per_feature": first_eval["per_feature"], "mean": first_eval["mean"]},
-        "parameters": {"controls": m, "total": total, "format": f"{m} / {total}"},
-        "train_time_ms": mean(times_ms),
-        "train_time_ms_stats": {"min": min(times_ms), "mean": mean(times_ms),
-                                "stddev": pstdev(times_ms)},
-        "memory_bytes_estimate": int(peak),
-        "loss_curve": [float(v) for v in first_model.loss_history],
-        "skipped_windows": first_model.skipped_windows + first_eval["skipped_windows"],
-    }
+    report = _scored_report("train", tag, config, first_model, first_eval)
+    report["train_time_ms"] = mean(times_ms)
+    report["train_time_ms_stats"] = {"min": min(times_ms), "mean": mean(times_ms),
+                                     "stddev": pstdev(times_ms)}
+    report["memory_bytes_estimate"] = int(peak)
     if repeats > 1:
         report["repeats"] = {"count": repeats, "mse_means": repeat_mse,
                              "mean": mean(repeat_mse), "stddev": pstdev(repeat_mse)}
     return report, first_model
+
+
+def _scored_report(command: str, tag: str, config: ModelConfig,
+                   fitted: model_mod.FlightKoobaModel, scores: dict) -> dict:
+    """Fields of a train or eval report; scores is evaluate() on the test split."""
+    m = config.controls
+    total = fitted.parameter_count
+    return {
+        "schema": SCHEMA_VERSION,
+        "command": command,
+        "dataset": tag,
+        "seed": config.seed,
+        "config": config_echo(config),
+        "mse": {"per_feature": scores["per_feature"], "mean": scores["mean"]},
+        "parameters": {"controls": m, "total": total, "format": f"{m} / {total}"},
+        "loss_curve": [float(v) for v in fitted.loss_history],
+        "skipped_windows": scores["skipped_windows"],
+    }
 
 
 def _write_json(path: Path, doc: dict) -> None:
@@ -241,20 +278,8 @@ def cmd_eval(ns: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     scores = model_mod.evaluate(loaded, states[split:], controls[split:])
     eval_ms = (time.perf_counter() - t0) * 1e3
-    m = config.controls
-    total = loaded.parameter_count
-    report = {
-        "schema": SCHEMA_VERSION,
-        "command": "eval",
-        "dataset": tag,
-        "seed": config.seed,
-        "config": config_echo(config),
-        "mse": {"per_feature": scores["per_feature"], "mean": scores["mean"]},
-        "parameters": {"controls": m, "total": total, "format": f"{m} / {total}"},
-        "eval_time_ms": eval_ms,
-        "loss_curve": [float(v) for v in loaded.loss_history],
-        "skipped_windows": scores["skipped_windows"],
-    }
+    report = _scored_report("eval", tag, config, loaded, scores)
+    report["eval_time_ms"] = eval_ms
     out = Path(ns.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "eval_report.json", report)
@@ -301,8 +326,7 @@ def cmd_bench(ns: argparse.Namespace) -> int:
     _write_json(out / "bench_report.json", doc)
     with open(out / "bench_report.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        header = ["dataset", "mse_mean", "train_time_ms", "memory_bytes_estimate",
-                  "parameters", "seed", "error"]
+        header = [*REPORT_FIELDS["row"], "error"]
         writer.writerow(header)
         for row in rows:
             writer.writerow([row.get(k, "") for k in header])
@@ -318,56 +342,34 @@ def cmd_bench(ns: argparse.Namespace) -> int:
 
 
 def validate_report(doc: dict) -> list[str]:
-    """Check a report document against the shipped schema; returns problems."""
-    schema = json.loads(resources.files("kooba").joinpath(
-        "schemas/bench_report_v1.json").read_text(encoding="utf-8"))
+    """Check a report document against REPORT_FIELDS; returns problems."""
     problems: list[str] = []
 
     def expect(value, kind: str, where: str) -> None:
-        ok = True
-        if kind == "int":
-            ok = isinstance(value, int) and not isinstance(value, bool)
-        elif kind == "str":
-            ok = isinstance(value, str)
-        elif kind == "dict":
-            ok = isinstance(value, dict)
-        elif kind == "number":
-            ok = isinstance(value, (int, float)) and not isinstance(value, bool)
-        elif kind == "positive_number":
-            ok = isinstance(value, (int, float)) and not isinstance(value, bool) and value > 0
-        elif kind == "positive_int":
-            ok = isinstance(value, int) and not isinstance(value, bool) and value > 0
-        elif kind == "list[number]":
-            ok = isinstance(value, list) and all(
-                isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
-        if not ok:
+        if not _KINDS[kind](value):
             problems.append(f"{where}: expected {kind}, got {value!r}")
 
-    for key, kind in schema["report"]["required"].items():
-        if key not in doc:
-            problems.append(f"missing field {key}")
-        else:
-            expect(doc[key], kind, key)
-    if doc.get("schema") != schema["schema"]:
-        problems.append(f"schema version {doc.get('schema')!r} != {schema['schema']}")
-
-    if doc.get("command") in ("train", "eval"):
-        extras = dict(schema["report"]["train_extra"])
-        if doc.get("command") == "eval":
-            extras.pop("train_time_ms")
-            extras.pop("memory_bytes_estimate")
-        for key, kind in extras.items():
+    def require(section: str) -> None:
+        for key, kind in REPORT_FIELDS[section].items():
             if key not in doc:
                 problems.append(f"missing field {key}")
             else:
                 expect(doc[key], kind, key)
-        if "mse" in doc and isinstance(doc["mse"], dict):
-            for key, kind in schema["mse"]["required"].items():
-                expect(doc["mse"].get(key), kind, f"mse.{key}")
-        if "parameters" in doc and isinstance(doc["parameters"], dict):
-            for key, kind in schema["parameters"]["required"].items():
-                expect(doc["parameters"].get(key), kind, f"parameters.{key}")
-    elif doc.get("command") == "bench":
+
+    def nested(obj: dict, section: str, where: str) -> None:
+        for key, kind in REPORT_FIELDS[section].items():
+            expect(obj.get(key), kind, f"{where}.{key}")
+
+    require("report")
+    if doc.get("schema") != SCHEMA_VERSION:
+        problems.append(f"schema version {doc.get('schema')!r} != {SCHEMA_VERSION}")
+    command = doc.get("command")
+    if command in ("train", "eval"):
+        require(command)
+        for section in ("mse", "parameters"):
+            if isinstance(doc.get(section), dict):
+                nested(doc[section], section, section)
+    elif command == "bench":
         rows = doc.get("rows")
         if not isinstance(rows, list):
             problems.append("rows: expected a list")
@@ -376,10 +378,7 @@ def validate_report(doc: dict) -> list[str]:
             if not isinstance(row, dict):
                 problems.append(f"rows[{i}]: expected an object")
                 continue
-            expect(row.get("dataset"), "str", f"rows[{i}].dataset")
-            branch = "failure" if "error" in row else "success"
-            for key, kind in schema["row"][branch].items():
-                expect(row.get(key), kind, f"rows[{i}].{key}")
+            nested(row, "row_failure" if "error" in row else "row", f"rows[{i}]")
     return problems
 
 

@@ -3,8 +3,8 @@
 Two operator families are built here: "legt" keeps a sliding window of fixed
 length omega, "legs" keeps the whole elapsed history with exponentially fading
 resolution (recent samples sharp, old samples compressed; see
-lookback_argument for the exact memory profile). Both are linear
-time-invariant systems
+lookback_argument for the exact memory profile). Both are linear systems
+with constant coefficients
 
     c'(t) = N c(t) + M gamma(t)
 
@@ -25,19 +25,11 @@ from .errors import ConfigError, InputError, NumericalError
 _STABILITY_SLACK = 1e-6
 
 
-def build_continuous(method: str, order: int, omega: float | None = None,
-                     variant: str = "standard") -> tuple[np.ndarray, np.ndarray]:
-    """Continuous operator pair (N, M) for the chosen family.
-
-    variant="standard" is the default form used everywhere in this package.
-    variant="scaled" selects the rescaled-coefficient forms (diagonal row
-    scaling for legt, the unsigned lower-triangular matrix for legs); they are
-    exposed for experimentation only and nothing downstream defaults to them.
-    """
+def build_continuous(method: str, order: int,
+                     omega: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Continuous operator pair (N, M) for the chosen family."""
     if order < 0:
         raise ConfigError(f"order must be non-negative, got {order}")
-    if variant not in ("standard", "scaled"):
-        raise ConfigError(f"unknown variant {variant!r}")
     n_idx = np.arange(order + 1)
 
     if method == "legt":
@@ -45,12 +37,8 @@ def build_continuous(method: str, order: int, omega: float | None = None,
             raise ConfigError("legt needs a positive window length omega")
         rows = n_idx[:, None]
         cols = n_idx[None, :]
-        if variant == "standard":
-            mag = np.sqrt((2 * rows + 1) * (2 * cols + 1)).astype(float)
-            m_vec = np.sqrt(2 * (2 * n_idx + 1)) / omega
-        else:
-            mag = np.broadcast_to((2 * rows + 1).astype(float), (order + 1, order + 1)).copy()
-            m_vec = (2 * n_idx + 1).astype(float) / omega
+        mag = np.sqrt((2 * rows + 1) * (2 * cols + 1)).astype(float)
+        m_vec = np.sqrt(2 * (2 * n_idx + 1)) / omega
         # below the diagonal the sign factor is 1; on and above it is (-1)^(n-k),
         # read as integer parity so k > n is well defined
         sign = np.where(cols < rows, 1.0, np.where((rows - cols) % 2 == 0, 1.0, -1.0))
@@ -58,12 +46,8 @@ def build_continuous(method: str, order: int, omega: float | None = None,
         return n_mat, m_vec
 
     if method == "legs":
-        if variant == "standard":
-            n_mat = -np.sqrt(np.outer(2 * n_idx + 1, 2 * n_idx + 1))
-            n_mat = np.tril(n_mat, -1) + np.diag(-(n_idx + 1.0))
-        else:
-            n_mat = np.sqrt(np.outer(2 * n_idx + 1, 2 * n_idx + 1))
-            n_mat = np.tril(n_mat, -1) + np.diag(n_idx + 1.0)
+        n_mat = -np.sqrt(np.outer(2 * n_idx + 1, 2 * n_idx + 1))
+        n_mat = np.tril(n_mat, -1) + np.diag(-(n_idx + 1.0))
         m_vec = np.sqrt(2 * (2 * n_idx + 1)).astype(float)
         return n_mat, m_vec
 
@@ -103,21 +87,21 @@ class HippoBasis:
     Mbar: np.ndarray
 
 
-def build_basis(method: str, order: int, dt: float = 1.0, omega: float | None = None,
-                variant: str = "standard") -> HippoBasis:
+def build_basis(method: str, order: int, dt: float = 1.0,
+                omega: float | None = None) -> HippoBasis:
     """Construct and discretize a basis; asserts the update is stable.
 
     dt defaults to one sample period. The spectral radius of Nbar is checked
     at construction and construction fails loudly if the discrete update could
     amplify state.
     """
-    n_mat, m_vec = build_continuous(method, order, omega, variant)
+    n_mat, m_vec = build_continuous(method, order, omega)
     nbar, mbar = discretize_bilinear(n_mat, m_vec, dt)
     radius = np.max(np.abs(np.linalg.eigvals(nbar)))
     if radius > 1.0 + _STABILITY_SLACK:
         raise NumericalError(
             f"discrete update is unstable: spectral radius {radius:.6f} "
-            f"(method={method}, order={order}, dt={dt}, omega={omega}, variant={variant})")
+            f"(method={method}, order={order}, dt={dt}, omega={omega})")
     return HippoBasis(method=method, order=order, dt=dt, omega=omega,
                       N=n_mat, M=m_vec, Nbar=nbar, Mbar=mbar)
 
@@ -144,13 +128,13 @@ def step(state: CoefficientState, sample: float, basis: HippoBasis) -> Coefficie
 
 @dataclass(frozen=True)
 class BlockKernel:
-    """Precomputed powers Nbar^1..Nbar^k and the stacked input map.
+    """Block-update operators: the state map Nbar^k and the stacked input map.
 
     input_map column j multiplies sample j of the block, so
     input_map = [Nbar^(k-1) Mbar, ..., Nbar Mbar, Mbar].
     """
     k: int
-    powers: np.ndarray      # (k, dim, dim), powers[j] = Nbar^(j+1)
+    power: np.ndarray       # (dim, dim), Nbar^k
     input_map: np.ndarray   # (dim, k)
 
 
@@ -158,16 +142,14 @@ def build_kernel(basis: HippoBasis, k: int) -> BlockKernel:
     """Kernel for block updates of length k."""
     if k < 1:
         raise ConfigError(f"block length must be at least 1, got {k}")
-    dim = basis.order + 1
-    powers = np.empty((k, dim, dim))
-    powers[0] = basis.Nbar
-    for j in range(1, k):
-        powers[j] = basis.Nbar @ powers[j - 1]
-    input_map = np.empty((dim, k))
+    input_map = np.empty((basis.order + 1, k))
     input_map[:, k - 1] = basis.Mbar
+    # row-major like the products below, so every power takes the same BLAS path
+    power = np.ascontiguousarray(basis.Nbar)
     for j in range(k - 2, -1, -1):
-        input_map[:, j] = powers[k - 2 - j] @ basis.Mbar
-    return BlockKernel(k=k, powers=powers, input_map=input_map)
+        input_map[:, j] = power @ basis.Mbar        # power = Nbar^(k-1-j)
+        power = basis.Nbar @ power
+    return BlockKernel(k=k, power=power, input_map=input_map)
 
 
 def block_step(state: CoefficientState, block, kernel: BlockKernel) -> CoefficientState:
@@ -181,7 +163,7 @@ def block_step(state: CoefficientState, block, kernel: BlockKernel) -> Coefficie
         raise InputError(f"block length {block.shape} does not match kernel k = {kernel.k}")
     if not np.all(np.isfinite(block)):
         raise InputError(f"non-finite sample in block at step {state.step_index}")
-    c_next = state.c @ kernel.powers[kernel.k - 1].T + block @ kernel.input_map.T
+    c_next = state.c @ kernel.power.T + block @ kernel.input_map.T
     return CoefficientState(c=c_next, step_index=state.step_index + kernel.k)
 
 

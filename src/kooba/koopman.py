@@ -15,7 +15,7 @@ together and cancel; see lift_initial_state and poly_ode_coeffs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lgamma, exp, isfinite
+from math import isfinite
 
 import numpy as np
 
@@ -25,10 +25,8 @@ from .legendre import legendre_values
 # double-precision factorials are exact only up to about 32!; beyond that the
 # rescaling products silently lose integer precision
 MAX_DIRECT_ORDER = 32
-MAX_EXTENDED_ORDER = 64
 DEGENERATE_TOL = 1e-12
 SINGULAR_TOL = 1e-14       # smallest over largest pivot of the bilinear solve
-_LOG_DOMAIN_FROM = 20
 
 
 @dataclass(frozen=True)
@@ -38,43 +36,34 @@ class PolyODECoeffs:
     order: int
 
 
-def check_order(order: int, extended: bool = False) -> None:
+def check_order(order: int) -> None:
     """Reject orders whose factorial-sized rescaling exceeds float precision."""
-    if order > MAX_EXTENDED_ORDER:
-        raise ConfigError(f"order {order} beyond the supported range ({MAX_EXTENDED_ORDER})")
-    if order > MAX_DIRECT_ORDER and not extended:
+    if order > MAX_DIRECT_ORDER:
         raise ConfigError(
             f"order {order} needs factorial products beyond exact double precision "
-            f"(factorials are exactly representable only up to about {MAX_DIRECT_ORDER}!); "
-            f"enable extended_order to run log-domain products up to {MAX_EXTENDED_ORDER}")
+            f"(factorials are exactly representable only up to about {MAX_DIRECT_ORDER}!)")
 
 
-def poly_ode_coeffs(c, extended: bool = False,
-                    require_leading: bool = True) -> PolyODECoeffs:
+def poly_ode_coeffs(c, require_leading: bool = True) -> PolyODECoeffs:
     """Rescale projection coefficients c_0..c_n into ODE coefficients a_0..a_n.
 
     a_{n-k} = sqrt((2k+1)/2) * c_k / (n * (n-1) * ... * (k+1)), with the empty
-    product equal to 1. The falling products run in the log domain above order
-    20 to keep them finite and accurate. By default a vanishing leading
-    coefficient raises (the companion matrix downstream would be undefined);
-    require_leading=False returns the raw transform for inspection and takes
-    c with leading axes (..., n+1), each entry computed as a single vector.
+    product equal to 1. By default a vanishing leading coefficient raises (the
+    companion matrix downstream would be undefined); require_leading=False
+    returns the raw transform for inspection and takes c with leading axes
+    (..., n+1), each entry computed as a single vector.
     """
     c = np.asarray(c, dtype=float)
     if c.ndim == 0 or c.shape[-1] == 0 or (require_leading and c.ndim != 1):
         raise InputError("coefficient vector must be a non-empty 1-d array "
                          "(a batch needs require_leading=False)")
     n = c.shape[-1] - 1
-    check_order(n, extended)
+    check_order(n)
     scale = np.sqrt((2 * np.arange(n + 1) + 1) / 2.0)
-    if n <= _LOG_DOMAIN_FROM:
-        falling = [1.0] * (n + 1)
-        for k in range(n - 1, -1, -1):
-            falling[k] = falling[k + 1] * (k + 1)      # running product (k+1)...(n)
-        a = (scale * c / falling)[..., ::-1]
-    else:
-        lg_n = lgamma(n + 1)
-        a = (scale * c * [exp(lgamma(k + 1) - lg_n) for k in range(n + 1)])[..., ::-1]
+    falling = [1.0] * (n + 1)
+    for k in range(n - 1, -1, -1):
+        falling[k] = falling[k + 1] * (k + 1)      # running product (k+1)...(n)
+    a = (scale * c / falling)[..., ::-1]
     if not np.all(np.isfinite(a)):
         raise NumericalError("non-finite ODE coefficients")
     if require_leading and abs(a[n]) < DEGENERATE_TOL:
@@ -131,16 +120,13 @@ def lift_initial_state(order: int, s0: float = 1.0) -> LiftedState:
 
 @dataclass(frozen=True)
 class KoopmanSystem:
-    """Companion system with its bilinear discretization at step dt.
+    """Bilinear discretization of a companion system around control weights b.
 
     Discrete update: x' = Abar x + w * (b . u), i.e. the discrete control
     matrix is the outer product of w with the trainable weights b.
     """
     coeffs: PolyODECoeffs
-    A: np.ndarray
-    B_base: np.ndarray
     b: np.ndarray
-    dt: float
     Abar: np.ndarray
     w: np.ndarray
 
@@ -192,11 +178,13 @@ def build_system(coeffs: PolyODECoeffs, b, dt: float) -> KoopmanSystem:
     b = np.atleast_1d(np.asarray(b, dtype=float))
     if b.size == 0:
         raise ConfigError("control weight vector must not be empty")
-    A, b_base = build_companion(coeffs)
+    a_n = coeffs.a[coeffs.order]
+    if abs(a_n) < DEGENERATE_TOL:
+        raise DegenerateCoefficientsError(f"leading coefficient |a_n| = {abs(a_n):.3e}")
     abar, w, ok = companion_discrete(coeffs, dt)
     if not ok:
         raise NumericalError(f"bilinear solve singular at dt = {dt}")
-    return KoopmanSystem(coeffs=coeffs, A=A, B_base=b_base, b=b, dt=dt, Abar=abar, w=w)
+    return KoopmanSystem(coeffs=coeffs, b=b, Abar=abar, w=w)
 
 
 def propagate(sys: KoopmanSystem, state: LiftedState, u) -> LiftedState:

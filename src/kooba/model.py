@@ -31,6 +31,9 @@ from .errors import ConfigError, InputError, NumericalError, TrainingAbortedErro
 log = logging.getLogger(__name__)
 
 MODEL_FORMAT = 1
+# removed options that format-1 files may still carry: load_model drops each
+# at its old default, given here, and rejects any other value
+REMOVED_CONFIG_KEYS = {"momentum": 0.0, "teacher_forcing": False, "extended_order": False}
 
 
 @dataclass(frozen=True)
@@ -49,16 +52,13 @@ class ModelConfig:
     stride: int | None = None         # defaults to seq_len (non-overlapping)
     seed: int = 0
     s0: float = 1.0                   # lifted-state evaluation point
-    momentum: float = 0.0
-    teacher_forcing: bool = False
-    extended_order: bool = False
 
     def __post_init__(self):
         if self.method not in ("legt", "legs"):
             raise ConfigError(f"method must be 'legt' or 'legs', got {self.method!r}")
         if self.order < 1:
             raise ConfigError(f"order must be at least 1, got {self.order}")
-        koopman.check_order(self.order, self.extended_order)
+        koopman.check_order(self.order)
         if self.controls < 1:
             raise ConfigError(f"need at least one control feature, got {self.controls}")
         if self.seq_len < 1 or self.horizon < 1:
@@ -77,8 +77,6 @@ class ModelConfig:
                 raise ConfigError(f"{name} must be positive, got {v}")
         if not -1.0 <= self.s0 <= 1.0:
             raise ConfigError(f"s0 must lie in [-1, 1], got {self.s0}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ConfigError(f"momentum must lie in [0, 1), got {self.momentum}")
 
     @property
     def eff_stride(self) -> int:
@@ -175,19 +173,15 @@ def featurize(config: ModelConfig, states: np.ndarray, controls: np.ndarray) -> 
     """Affine pieces of every window as arrays, CHUNK_ROWS rows at a time.
 
     A window is skipped when any feature's companion system is undefined (a
-    vanishing leading coefficient or a singular bilinear solve). With
-    teacher_forcing, step t of a window is the one-step forecast from the
-    history shifted t samples forward into the true future.
+    vanishing leading coefficient or a singular bilinear solve).
     """
     if controls.shape[1] != config.controls:
         raise InputError(f"control matrix has {controls.shape[1]} columns, "
                          f"config expects {config.controls}")
-    L, h, stride = config.seq_len, config.horizon, config.eff_stride
-    hist, u_future, y = windows(states, controls, L, h, stride)
-    if config.teacher_forcing:
-        hist, u_future, _ = windows(states, controls, L, 1, 1)
+    L, h = config.seq_len, config.horizon
+    hist, u_future, y = windows(states, controls, L, h, config.eff_stride)
     n_rows, n_feat, _ = hist.shape
-    alpha = np.empty((n_rows, n_feat, u_future.shape[1]))
+    alpha = np.empty((n_rows, n_feat, h))
     G = np.empty(alpha.shape + (config.controls,))
     ok = np.empty((n_rows, n_feat), dtype=bool)
     kernel = hippo.build_kernel(build_basis(config), L)
@@ -196,13 +190,8 @@ def featurize(config: ModelConfig, states: np.ndarray, controls: np.ndarray) -> 
     for lo in range(0, n_rows, step):
         rows = slice(lo, lo + step)
         c = hippo.block_step(zero, hist[rows], kernel).c
-        coeffs = koopman.poly_ode_coeffs(c, config.extended_order, require_leading=False)
+        coeffs = koopman.poly_ode_coeffs(c, require_leading=False)
         alpha[rows], G[rows], ok[rows] = _rollout(config, coeffs, u_future[rows, None])
-    if config.teacher_forcing:
-        at = np.arange(y.shape[0])[:, None] * stride + np.arange(h)     # (W, h)
-        alpha = alpha[at, :, 0].transpose(0, 2, 1)
-        G = G[at, :, 0].transpose(0, 2, 1, 3)
-        ok = ok[at].all(axis=1)
     usable = ok.all(axis=1)
     skipped = int(usable.size - np.count_nonzero(usable))
     if skipped:
@@ -250,7 +239,6 @@ def fit(config: ModelConfig, states, controls) -> FlightKoobaModel:
     reg = featurize(config, states, controls)
     n_win = reg.alpha.shape[0]
     b = np.zeros((states.shape[1], config.controls))
-    velocity = np.zeros_like(b)
     rng = np.random.default_rng(config.seed)
     history: list[float] = []
 
@@ -271,11 +259,7 @@ def fit(config: ModelConfig, states, controls) -> FlightKoobaModel:
                 raise TrainingAbortedError(
                     f"non-finite loss at epoch {epoch}, window batch starting at "
                     f"index {lo}")
-            if config.momentum > 0.0:
-                velocity = config.momentum * velocity - config.learning_rate * grad
-                b = b + velocity
-            else:
-                b = b - config.learning_rate * grad
+            b = b - config.learning_rate * grad
             epoch_loss += batch_loss * len(batch)
         history.append(epoch_loss / n_win)
 
@@ -335,7 +319,7 @@ def predict(model: FlightKoobaModel, c_state: hippo.CoefficientState,
         raise InputError(f"feature index {feature} out of range")
     if not np.all(np.isfinite(u_future)):
         raise InputError("non-finite control input")
-    coeffs = koopman.poly_ode_coeffs(c_state.c, config.extended_order)
+    coeffs = koopman.poly_ode_coeffs(c_state.c)
     alpha, G, ok = _rollout(config, coeffs, u_future)
     if not ok:
         raise NumericalError(f"bilinear solve singular at dt = {config.eff_dt_system}")
@@ -380,7 +364,7 @@ def save_model(model: FlightKoobaModel, path) -> None:
 
 
 def load_model(path) -> FlightKoobaModel:
-    """Read a model document, checking the format version."""
+    """Read a model document, checking the format version and removed options."""
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -392,7 +376,13 @@ def load_model(path) -> FlightKoobaModel:
         raise ConfigError(f"model file {path} has format version {version!r}, "
                           f"this build reads version {MODEL_FORMAT}")
     try:
-        config = ModelConfig(**doc["config"])
+        values = {**doc["config"]}
+        for key, default in REMOVED_CONFIG_KEYS.items():
+            value = values.pop(key, default)
+            if value != default:
+                raise ConfigError(f"model file {path} sets {key} = {value!r}; that option "
+                                  f"was removed and only its old default {default!r} loads")
+        config = ModelConfig(**values)
         b = np.asarray(doc["b"], dtype=float)
         if b.ndim != 2:
             raise ConfigError(f"model file {path}: b must be 2-d")

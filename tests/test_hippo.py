@@ -7,6 +7,7 @@ from kooba import (ConfigError, InputError, NumericalError, block_step,
                    build_basis, build_continuous, build_kernel,
                    discretize_bilinear, init_state, lookback_argument,
                    project, reconstruct, step)
+from kooba import hippo
 from kooba.hippo import CoefficientState
 
 
@@ -45,22 +46,12 @@ def test_scaling_family_order2_matrices():
     np.testing.assert_allclose(m_vec, np.sqrt([2.0, 6.0, 10.0]))
 
 
-def test_scaled_variants():
-    n_mat, m_vec = build_continuous("legt", 2, omega=2.0, variant="scaled")
-    np.testing.assert_allclose(n_mat[0], [-0.5, 0.5, -0.5])
-    np.testing.assert_allclose(n_mat[2], [-2.5, -2.5, -2.5])
-    np.testing.assert_allclose(m_vec, [0.5, 1.5, 2.5])
-
-    n_mat, m_vec = build_continuous("legs", 2, variant="scaled")
-    np.testing.assert_allclose(np.diag(n_mat), [1.0, 2.0, 3.0])
-    assert n_mat[2, 1] == pytest.approx(np.sqrt(15.0))
-    np.testing.assert_allclose(m_vec, np.sqrt([2.0, 6.0, 10.0]))
-
-
-def test_unstable_variant_rejected_at_build():
+def test_unstable_variant_rejected_at_build(monkeypatch):
     # positive spectrum maps outside the unit circle under the bilinear rule
-    with pytest.raises(NumericalError):
-        build_basis("legs", 4, dt=0.01, variant="scaled")
+    monkeypatch.setattr(hippo, "build_continuous",
+                        lambda method, order, omega=None: (np.eye(5), np.ones(5)))
+    with pytest.raises(NumericalError, match="unstable"):
+        build_basis("legs", 4, dt=0.01)
 
 
 def test_construction_errors():
@@ -72,8 +63,6 @@ def test_construction_errors():
         build_continuous("fourier", 2)
     with pytest.raises(ConfigError):
         build_continuous("legs", -1)
-    with pytest.raises(ConfigError):
-        build_continuous("legs", 2, variant="exotic")
     with pytest.raises(ConfigError):
         discretize_bilinear(np.eye(2), np.ones(2), 0.0)
 
@@ -145,11 +134,10 @@ def test_block_matches_sequential_steps():
 def test_block_kernel_power_structure():
     basis = build_basis("legs", 4, dt=0.1)
     kernel = build_kernel(basis, 8)
-    np.testing.assert_allclose(kernel.powers[0], basis.Nbar)
-    for j in range(1, 8):
-        np.testing.assert_allclose(kernel.powers[j], basis.Nbar @ kernel.powers[j - 1])
-    np.testing.assert_allclose(kernel.input_map[:, -1], basis.Mbar)
-    np.testing.assert_allclose(kernel.input_map[:, 0], kernel.powers[6] @ basis.Mbar)
+    np.testing.assert_allclose(kernel.power, np.linalg.matrix_power(basis.Nbar, 8))
+    for j in range(8):
+        np.testing.assert_allclose(
+            kernel.input_map[:, j], np.linalg.matrix_power(basis.Nbar, 7 - j) @ basis.Mbar)
 
 
 def test_zero_block_is_pure_decay():

@@ -1,4 +1,4 @@
-from dataclasses import replace
+import json
 from pathlib import Path
 
 import numpy as np
@@ -7,10 +7,10 @@ import pytest
 from scipy.linalg import lu_factor
 
 from kooba import (ConfigError, DegenerateCoefficientsError, InputError,
-                   ModelConfig, NumericalError, closed_form_b, evaluate, fit,
-                   gen_lorenz, init_state, koopman, load_model, mse, normalize,
-                   predict, save_model, split_controls, window_count,
-                   window_loss_grad)
+                   ModelConfig, NumericalError, cli, closed_form_b, evaluate,
+                   fit, gen_lorenz, init_state, koopman, load_model, mse,
+                   normalize, predict, save_model, split_controls,
+                   window_count, window_loss_grad)
 from kooba.hippo import project
 from kooba.model import CHUNK_ROWS, FlightKoobaModel, build_basis, featurize
 
@@ -38,9 +38,6 @@ def test_config_validation():
         ModelConfig(order=0)
     with pytest.raises(ConfigError, match="32"):
         ModelConfig(order=33)
-    assert ModelConfig(order=33, extended_order=True).order == 33
-    with pytest.raises(ConfigError):
-        ModelConfig(order=65, extended_order=True)
     with pytest.raises(ConfigError):
         ModelConfig(controls=0)
     with pytest.raises(ConfigError):
@@ -51,8 +48,6 @@ def test_config_validation():
         ModelConfig(stride=0)
     with pytest.raises(ConfigError):
         ModelConfig(s0=1.5)
-    with pytest.raises(ConfigError):
-        ModelConfig(momentum=1.0)
 
 
 def test_mse_basics():
@@ -158,17 +153,6 @@ def test_fit_input_checks():
         fit(config, np.zeros((40, 1)), np.zeros((40, 1)))
 
 
-def test_teacher_forcing_matches_free_rollout_at_horizon_one():
-    config = ModelConfig(order=4, seq_len=8, horizon=1, epochs=5)
-    t = np.arange(100, dtype=float)
-    states = (1.0 + 0.5 * np.sin(2 * np.pi * t / 21))[:, None]
-    controls = np.cos(2 * np.pi * t / 13)[:, None]
-    free = fit(config, states, controls)
-    forced = fit(replace(config, teacher_forcing=True), states, controls)
-    np.testing.assert_allclose(forced.b, free.b, atol=1e-10)
-    np.testing.assert_allclose(forced.loss_history, free.loss_history, atol=1e-12)
-
-
 def test_predict_is_affine_in_weights(realizable_fixture):
     config, states, controls, _ = realizable_fixture
     basis = build_basis(config)
@@ -222,6 +206,8 @@ def test_save_load_round_trip(tmp_path, realizable_fixture):
     save_model(model, path)
     loaded = load_model(path)
     assert loaded.config == model.config
+    written = json.loads(path.read_text(encoding="utf-8"))["config"]
+    assert not {"momentum", "teacher_forcing", "extended_order"} & set(written)
     np.testing.assert_array_equal(loaded.b, model.b)
     assert loaded.loss_history == model.loss_history
     assert loaded.skipped_windows == model.skipped_windows
@@ -262,6 +248,22 @@ def test_golden_model_file_still_loads():
     assert model.skipped_windows == 0
 
 
+@pytest.mark.parametrize("key, value", [("momentum", 0.6), ("teacher_forcing", True)])
+def test_model_file_setting_a_removed_option_is_rejected(tmp_path, key, value):
+    # the golden file holds every removed option at its old default and loads;
+    # any other value names the option and fails like any bad config (exit 2)
+    doc = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    doc["config"][key] = value
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ConfigError, match=f"sets {key} = {value!r}"):
+        load_model(path)
+    rc = cli.main(["eval", "--model", str(path), "--dataset", "lorenz",
+                   "--out", str(tmp_path / "ev")])
+    assert rc == cli.EXIT_CONFIG
+    assert not (tmp_path / "ev").exists()
+
+
 def test_fit_ignores_cold_state_reuse(realizable_fixture):
     # projecting each window starts from a fresh zero state by construction
     config, states, controls, _ = realizable_fixture
@@ -284,7 +286,7 @@ def _smooth_series(n_rows, n_feat, n_ctrl, seed):
 
 def _reference_rollout(config, c, u_future, b):
     """Forecasts from one coefficient state by propagate/readout steps."""
-    coeffs = koopman.poly_ode_coeffs(c, config.extended_order)
+    coeffs = koopman.poly_ode_coeffs(c)
     system = koopman.build_system(coeffs, b, config.eff_dt_system)
     state = koopman.lift_initial_state(config.order, config.s0)
     out = []
@@ -295,32 +297,19 @@ def _reference_rollout(config, c, u_future, b):
 
 
 def _reference_pieces(config, states, controls):
-    """alpha, G, y per window and feature from hippo.project and the step API.
-
-    Step t of a teacher-forced window is the one-step forecast from the
-    history shifted t samples forward.
-    """
+    """alpha, G, y per window and feature from hippo.project and the step API."""
     basis = build_basis(config)
     L, h, m = config.seq_len, config.horizon, config.controls
     alpha, G, y = [], [], []
     for start in range(0, states.shape[0] - L - h + 1, config.eff_stride):
-        if config.teacher_forcing:
-            steps = [(start + t, 1) for t in range(h)]
-        else:
-            steps = [(start, h)]
         a_w = np.empty((states.shape[1], h))
         g_w = np.empty((states.shape[1], h, m))
         for f in range(states.shape[1]):
-            col = 0
-            for s, length in steps:
-                c = project(basis, states[s:s + L, f]).c
-                u = controls[s + L:s + L + length]
-                base = _reference_rollout(config, c, u, np.zeros(m))
-                a_w[f, col:col + length] = base
-                for j in range(m):
-                    g_w[f, col:col + length, j] = (
-                        _reference_rollout(config, c, u, np.eye(m)[j]) - base)
-                col += length
+            c = project(basis, states[start:start + L, f]).c
+            u = controls[start + L:start + L + h]
+            a_w[f] = _reference_rollout(config, c, u, np.zeros(m))
+            for j in range(m):
+                g_w[f, :, j] = _reference_rollout(config, c, u, np.eye(m)[j]) - a_w[f]
         alpha.append(a_w)
         G.append(g_w)
         y.append(states[start + L:start + L + h].T)
@@ -361,21 +350,10 @@ def test_featurize_matches_step_api(method, horizon, controls):
             assert _rel(got, alpha[w, f] + G[w, f] @ b[f]) < 1e-12
 
 
-def test_teacher_forced_featurize_matches_step_api():
-    config = ModelConfig(order=4, horizon=3, stride=5, controls=2, teacher_forcing=True)
-    states, ctrl = _smooth_series(120, 2, 2, seed=9)
-    reg = featurize(config, states, ctrl)
-    alpha, G, y = _reference_pieces(config, states, ctrl)
-    assert _rel(reg.alpha, alpha) < 1e-12
-    assert _rel(reg.G, G) < 1e-12
-    np.testing.assert_array_equal(reg.y, y)
-
-
 def _reference_sgd(config, alpha, G, y):
     """Minibatch descent with one window_loss_grad call per window and feature."""
     n_win, n_feat = alpha.shape[:2]
     b = np.zeros((n_feat, config.controls))
-    velocity = np.zeros_like(b)
     rng = np.random.default_rng(config.seed)
     history = []
     for _ in range(config.epochs):
@@ -392,17 +370,15 @@ def _reference_sgd(config, alpha, G, y):
                     grad[f] += grad_f
             grad /= len(batch)
             batch_loss /= len(batch) * n_feat
-            velocity = config.momentum * velocity - config.learning_rate * grad
-            b = b + velocity
+            b = b - config.learning_rate * grad
             epoch_loss += batch_loss * len(batch)
         history.append(epoch_loss / n_win)
     return b, np.array(history)
 
 
-@pytest.mark.parametrize("momentum", [0.0, 0.6])
-def test_fit_matches_per_window_descent(momentum):
+def test_fit_matches_per_window_descent():
     config = ModelConfig(order=4, horizon=2, stride=4, controls=2, epochs=6,
-                         batch_size=7, learning_rate=0.05, momentum=momentum, seed=5)
+                         batch_size=7, learning_rate=0.05, seed=5)
     states, ctrl = _smooth_series(300, 2, 2, seed=3)
     alpha, G, y = _reference_pieces(config, states, ctrl)
     b_ref, loss_ref = _reference_sgd(config, alpha, G, y)
