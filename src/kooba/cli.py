@@ -3,7 +3,8 @@
 Subcommands: train (fit + report), eval (rescore a saved model), bench
 (train + eval per dataset, one consolidated table). Reports are versioned
 JSON plus flat CSV; wall time is measured around the fit call only and the
-memory column is an allocator high-water estimate, not device-resident bytes.
+memory column (memory_bytes_estimate) is the tracemalloc peak of featurizing
+the train split, an allocator high-water estimate, not device-resident bytes.
 
 Exit codes: 0 success, 2 bad configuration or input, 3 training aborted on a
 non-finite loss, 4 I/O failure. KOOBA_LOG sets the log level.
@@ -196,11 +197,11 @@ def run_dataset(config: ModelConfig, spec: str, repeats: int) -> tuple[dict, mod
         repeat_mse.append(scores["mean"])
         if i == 0:
             first_model, first_eval = fitted, scores
-    # the allocator high-water mark comes from one more fit of the same shapes,
-    # so that no timed fit runs under tracemalloc
+    # the allocator high-water mark of featurizing the train split, whose
+    # arrays are what grows with the data; no timed fit runs under tracemalloc
     tracemalloc.start()
     try:
-        model_mod.fit(config, states[:split], controls[:split])
+        model_mod.featurize(config, states[:split], controls[:split])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -35,25 +35,30 @@ class LorenzParams:
 def gen_lorenz(params: LorenzParams = LorenzParams()) -> np.ndarray:
     """Lorenz trajectory by classical fixed-step fourth-order integration.
 
-    Returns a (steps, 3) array of (x, y, z) after each step from x0.
+    Returns a (steps, 3) array of (x, y, z) after each step from x0. The
+    integration runs on Python floats, which round exactly as the equivalent
+    float64 array operations in the same order do.
     """
     sigma, rho, beta, dt = params.sigma, params.rho, params.beta, params.dt
+    half, sixth = dt / 2.0, dt / 6.0
 
-    def deriv(v):
-        x, y, z = v
-        return np.array([sigma * (y - x), x * (rho - z) - y, x * y - beta * z])
+    def deriv(x, y, z):
+        return sigma * (y - x), x * (rho - z) - y, x * y - beta * z
 
     out = np.empty((params.steps, 3))
-    v = np.array(params.x0, dtype=float)
+    x, y, z = (float(v) for v in params.x0)
     for i in range(params.steps):
-        k1 = deriv(v)
-        k2 = deriv(v + dt / 2.0 * k1)
-        k3 = deriv(v + dt / 2.0 * k2)
-        k4 = deriv(v + dt * k3)
-        v = v + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(v)) or np.max(np.abs(v)) > _BLOWUP_LIMIT:
+        k1x, k1y, k1z = deriv(x, y, z)
+        k2x, k2y, k2z = deriv(x + half * k1x, y + half * k1y, z + half * k1z)
+        k3x, k3y, k3z = deriv(x + half * k2x, y + half * k2y, z + half * k2z)
+        k4x, k4y, k4z = deriv(x + dt * k3x, y + dt * k3y, z + dt * k3z)
+        x = x + sixth * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+        y = y + sixth * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
+        z = z + sixth * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
+        # written so that NaN fails the test too
+        if not (abs(x) <= _BLOWUP_LIMIT and abs(y) <= _BLOWUP_LIMIT and abs(z) <= _BLOWUP_LIMIT):
             raise NumericalError(f"trajectory diverged at step {i}")
-        out[i] = v
+        out[i] = x, y, z
     return out
 
 
@@ -80,7 +85,8 @@ def load_csv(path) -> tuple[list[str], np.ndarray]:
     cols: list[np.ndarray] = []
     for j, name in enumerate(header):
         try:
-            col = np.array([float(row[j]) for row in body])
+            # numpy parses each string cell with Python's own float()
+            col = np.array([row[j] for row in body], dtype=float)
         except ValueError:
             log.info("dropped non-numeric column %r", name)
             continue

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from .errors import ConfigError, InputError, NumericalError
 
@@ -58,20 +57,21 @@ def discretize_bilinear(n_mat: np.ndarray, m_vec: np.ndarray,
                         dt: float) -> tuple[np.ndarray, np.ndarray]:
     """Bilinear images Nbar = (I - dt/2 N)^-1 (I + dt/2 N), Mbar = dt (I - dt/2 N)^-1 M.
 
-    One pivoted dense factorization per call; the matrices involved are small.
+    One dense solve with [I + dt/2 N | M] as the right-hand side; the matrices
+    involved are small. I - dt/2 N counts as singular when its smallest
+    singular value is under 1e-14 of the largest (or of 1).
     """
     if dt <= 0:
         raise ConfigError(f"step size must be positive, got {dt}")
     dim = n_mat.shape[0]
     eye = np.eye(dim)
-    lhs = eye - (dt / 2.0) * n_mat
-    lu, piv = lu_factor(lhs)
-    diag = np.abs(np.diag(lu))
-    if np.min(diag) < 1e-14 * max(np.max(diag), 1.0):
+    half = (dt / 2.0) * n_mat
+    lhs = eye - half
+    sv = np.linalg.svd(lhs, compute_uv=False)
+    if sv[-1] < 1e-14 * max(sv[0], 1.0):
         raise NumericalError(f"bilinear solve singular at dt = {dt}")
-    nbar = lu_solve((lu, piv), eye + (dt / 2.0) * n_mat)
-    mbar = dt * lu_solve((lu, piv), np.asarray(m_vec, dtype=float))
-    return nbar, mbar
+    sol = np.linalg.solve(lhs, np.column_stack([eye + half, np.asarray(m_vec, dtype=float)]))
+    return sol[:, :dim], dt * sol[:, dim]
 
 
 @dataclass(frozen=True)

@@ -383,7 +383,10 @@ def load_model(path) -> FlightKoobaModel:
                 raise ConfigError(f"model file {path} sets {key} = {value!r}; that option "
                                   f"was removed and only its old default {default!r} loads")
         config = ModelConfig(**values)
-        b = np.asarray(doc["b"], dtype=float)
+        try:
+            b = np.asarray(doc["b"], dtype=float)
+        except ValueError as exc:
+            raise ConfigError(f"model file {path}: b is not a numeric matrix: {exc}") from exc
         if b.ndim != 2:
             raise ConfigError(f"model file {path}: b must be 2-d")
         return FlightKoobaModel(config=config, b=b,

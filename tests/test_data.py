@@ -1,9 +1,52 @@
+import csv
+import logging
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from kooba import (ConfigError, InputError, LorenzParams, gen_lorenz, load_csv,
-                   normalize, save_csv, split_controls, window_count, windows)
+from kooba import (ConfigError, InputError, LorenzParams, NumericalError, gen_lorenz,
+                   load_csv, normalize, save_csv, split_controls, window_count, windows)
+
+EQUILIBRIUM = (np.sqrt(72.0), np.sqrt(72.0), 27.0)
+
+
+def _array_rk4(params):
+    """The same RK4 steps as float64 array operations, in the same order."""
+    sigma, rho, beta, dt = params.sigma, params.rho, params.beta, params.dt
+
+    def deriv(v):
+        x, y, z = v
+        return np.array([sigma * (y - x), x * (rho - z) - y, x * y - beta * z])
+
+    out = np.empty((params.steps, 3))
+    v = np.array(params.x0, dtype=float)
+    for i in range(params.steps):
+        k1 = deriv(v)
+        k2 = deriv(v + dt / 2.0 * k1)
+        k3 = deriv(v + dt / 2.0 * k2)
+        k4 = deriv(v + dt * k3)
+        v = v + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out[i] = v
+    return out
+
+
+@pytest.mark.parametrize("params", [
+    LorenzParams(),
+    LorenzParams(steps=50, x0=(0.0, 0.0, 0.0)),
+    LorenzParams(steps=10, x0=EQUILIBRIUM),
+    LorenzParams(dt=0.005, steps=200),
+    LorenzParams(dt=0.0025, steps=400),
+], ids=["default", "origin", "equilibrium", "dt0.005", "dt0.0025"])
+def test_lorenz_is_bit_identical_to_array_rk4(params):
+    assert np.array_equal(gen_lorenz(params), _array_rk4(params))
+
+
+@pytest.mark.parametrize("x0", [(1e7, 1e7, 1e7), (float("nan"), 1.0, 1.0),
+                                (1.0, float("inf"), 1.0)])
+def test_lorenz_divergence_is_rejected(x0):
+    with pytest.raises(NumericalError, match="diverged at step 0"):
+        gen_lorenz(LorenzParams(steps=5, x0=x0))
 
 
 def test_lorenz_zero_is_a_fixed_point():
@@ -13,9 +56,8 @@ def test_lorenz_zero_is_a_fixed_point():
 
 def test_lorenz_equilibrium_holds():
     # (sqrt(beta (rho-1)), sqrt(beta (rho-1)), rho - 1) is a fixed point
-    c = np.sqrt(72.0)
-    out = gen_lorenz(LorenzParams(steps=10, x0=(c, c, 27.0)))
-    np.testing.assert_allclose(out, np.tile([c, c, 27.0], (10, 1)), atol=1e-6)
+    out = gen_lorenz(LorenzParams(steps=10, x0=EQUILIBRIUM))
+    np.testing.assert_allclose(out, np.tile(EQUILIBRIUM, (10, 1)), atol=1e-6)
 
 
 def test_lorenz_integrator_is_fourth_order():
@@ -49,12 +91,33 @@ def test_lorenz_param_guards():
 
 
 def test_csv_round_trip(tmp_path):
+    # bit for bit, signed zeros and subnormals included
+    rng = np.random.default_rng(4)
+    table = rng.normal(size=(12, 2)) * [1e-300, 1e300]
+    table[:7, 0] = [-0.0, 0.0, 5e-324, -5e-324, 2.2e-310, 1e308, -1e308]
+    table[:2, 1] = [-0.0, np.nextafter(1.0, 2.0)]
     path = tmp_path / "t.csv"
-    table = np.array([[1.0, -2.5], [0.25, 3.0], [9.0, 0.125]])
     save_csv(path, ["a", "b"], table)
     names, loaded = load_csv(path)
     assert names == ["a", "b"]
-    np.testing.assert_array_equal(loaded, table)
+    assert loaded.tobytes() == table.tobytes()
+
+
+def test_csv_cells_parse_as_python_floats(tmp_path, caplog):
+    parsed = ["1_0", " 1.5 ", "\u0661\u0662", "nan", "1e-400", "-inf"]
+    rejected = {"empty": "", "hex": "0x10", "comma": "1,5"}
+    path = tmp_path / "cells.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["ok", *rejected])
+        for i, cell in enumerate(parsed):
+            writer.writerow([cell, *(v if i == 2 else "1" for v in rejected.values())])
+    with caplog.at_level(logging.INFO, logger="kooba.data"):
+        names, table = load_csv(path)
+    assert names == ["ok"]
+    np.testing.assert_array_equal(table[:, 0], [float(c) for c in parsed])
+    assert [r.getMessage() for r in caplog.records] == [
+        f"dropped non-numeric column {name!r}" for name in rejected]
 
 
 def test_csv_drops_unusable_columns(tmp_path):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import lu_factor, lu_solve
 
 from kooba import (ConfigError, InputError, NumericalError, block_step,
                    build_basis, build_continuous, build_kernel,
@@ -74,6 +75,31 @@ def test_bilinear_identity_and_scalar():
     nbar, mbar = discretize_bilinear(np.array([[-1.0]]), np.array([1.0]), 0.1)
     assert nbar[0, 0] == pytest.approx(0.95 / 1.05)
     assert mbar[0] == pytest.approx(0.1 / 1.05)
+
+
+@pytest.mark.parametrize("method", ["legs", "legt"])
+def test_bilinear_matches_an_lu_solve(method):
+    # oracle: scipy's pivoted LU of I - dt/2 N, solved once per right-hand side
+    worst = 0.0
+    for order in range(33):
+        n_mat, m_vec = build_continuous(method, order, omega=2.0)
+        eye = np.eye(order + 1)
+        for dt in (0.01, 0.125, 0.25, 1.0):
+            factors = lu_factor(eye - dt / 2.0 * n_mat)
+            nbar_ref = lu_solve(factors, eye + dt / 2.0 * n_mat)
+            mbar_ref = dt * lu_solve(factors, m_vec)
+            nbar, mbar = discretize_bilinear(n_mat, m_vec, dt)
+            worst = max(worst,
+                        np.linalg.norm(nbar - nbar_ref) / np.linalg.norm(nbar_ref),
+                        np.linalg.norm(mbar - mbar_ref) / np.linalg.norm(mbar_ref))
+    assert worst <= 1e-14
+
+
+@pytest.mark.parametrize("dt", [0.1, 0.25, 1.0])
+def test_bilinear_rejects_a_singular_solve(dt):
+    # I - dt/2 N vanishes (to rounding) when N = 2/dt I
+    with pytest.raises(NumericalError, match=f"bilinear solve singular at dt = {dt}"):
+        discretize_bilinear(np.eye(3) * 2 / dt, np.ones(3), dt)
 
 
 def test_bilinear_is_second_order_accurate():

@@ -264,6 +264,19 @@ def test_model_file_setting_a_removed_option_is_rejected(tmp_path, key, value):
     assert not (tmp_path / "ev").exists()
 
 
+def test_ragged_weights_are_rejected(tmp_path):
+    doc = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    doc["b"] = [[0.1], [0.2, 0.3]]
+    path = tmp_path / "ragged.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ConfigError, match=f"{path}: b is not a numeric matrix"):
+        load_model(path)
+    rc = cli.main(["eval", "--model", str(path), "--dataset", "lorenz",
+                   "--out", str(tmp_path / "ev")])
+    assert rc == cli.EXIT_CONFIG
+    assert not (tmp_path / "ev").exists()
+
+
 def test_fit_ignores_cold_state_reuse(realizable_fixture):
     # projecting each window starts from a fresh zero state by construction
     config, states, controls, _ = realizable_fixture
