@@ -14,13 +14,13 @@ from .hippo import (BlockKernel, CoefficientState, HippoBasis, block_step,
                     build_basis, build_continuous, build_kernel,
                     discretize_bilinear, init_state, lookback_argument,
                     project, step)
-from .koopman import (KoopmanSystem, LiftedState, PolyODECoeffs,
-                      build_companion, build_system, companion_discrete,
-                      lift_initial_state, poly_ode_coeffs, propagate, readout)
+from .koopman import (KoopmanSystem, LiftedState, build_companion, build_system,
+                      companion_discrete, lift_initial_state, poly_ode_coeffs,
+                      propagate, readout, require_defined)
 from .data import (LorenzParams, TimeSeriesDataset, gen_lorenz, load_csv,
                    normalize, save_csv, split_controls, window_count, windows)
 from .model import (ClosedFormResult, FlightKoobaModel, ModelConfig,
-                    closed_form_b, evaluate, fit, load_model, mse, predict,
+                    closed_form_b, evaluate, fit, load_model, predict,
                     save_model, window_loss_grad)
 
 __version__ = "0.1.0"

@@ -7,7 +7,8 @@ memory column (memory_bytes_estimate) is the tracemalloc peak of featurizing
 the train split, an allocator high-water estimate, not device-resident bytes.
 
 Exit codes: 0 success, 2 bad configuration or input, 3 training aborted on a
-non-finite loss, 4 I/O failure. KOOBA_LOG sets the log level.
+non-finite loss or another numerical failure, 4 I/O failure. KOOBA_LOG sets
+the log level.
 """
 
 from __future__ import annotations
@@ -22,14 +23,12 @@ import time
 import tracemalloc
 from dataclasses import asdict, fields, replace
 from pathlib import Path
-from statistics import mean, pstdev
 
 import numpy as np
 
 from . import model as model_mod
 from .data import LorenzParams, gen_lorenz, load_csv, normalize, split_controls
-from .errors import (ConfigError, InputError, KoobaError, NumericalError,
-                     TrainingAbortedError)
+from .errors import ConfigError, KoobaError, NumericalError, TrainingAbortedError
 from .model import ModelConfig
 
 log = logging.getLogger(__name__)
@@ -73,22 +72,6 @@ EXIT_CONFIG = 2
 EXIT_TRAINING = 3
 EXIT_IO = 4
 
-# CLI flag -> ModelConfig field
-_FLAG_FIELDS = {
-    "method": "method",
-    "order": "order",
-    "omega": "omega",
-    "dt": "dt_basis",
-    "controls": "controls",
-    "seq_len": "seq_len",
-    "horizon": "horizon",
-    "epochs": "epochs",
-    "lr": "learning_rate",
-    "batch_size": "batch_size",
-    "stride": "stride",
-    "seed": "seed",
-}
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="kooba",
@@ -104,17 +87,17 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default="kooba-out", help="output directory")
         if not model_flags:
             return
+        # each model flag's dest is the ModelConfig field it sets (make_config)
         p.add_argument("--method", choices=["legt", "legs"])
         p.add_argument("--order", type=int)
         p.add_argument("--omega", type=float)
-        p.add_argument("--dt", type=float, help="projection step size")
+        p.add_argument("--dt", dest="dt_basis", type=float, help="projection step size")
         p.add_argument("--controls", type=int)
         p.add_argument("--seq-len", dest="seq_len", type=int)
         p.add_argument("--epochs", type=int)
-        p.add_argument("--lr", type=float)
+        p.add_argument("--lr", dest="learning_rate", type=float)
         p.add_argument("--batch-size", dest="batch_size", type=int)
         p.add_argument("--stride", type=int)
-        p.add_argument("--repeats", type=int, default=1)
         p.add_argument("--seed", type=int)
         p.add_argument("--config", help="JSON config file (flags win over it)")
 
@@ -140,15 +123,14 @@ def make_config(ns: argparse.Namespace) -> ModelConfig:
                 file_cfg = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"config file {ns.config} is not valid JSON: {exc}") from exc
-        known = {f.name for f in fields(ModelConfig)}
-        unknown = set(file_cfg) - known
+        unknown = set(file_cfg) - {f.name for f in fields(ModelConfig)}
         if unknown:
             raise ConfigError(f"unknown config file keys: {sorted(unknown)}")
         values.update(file_cfg)
-    for flag, field_name in _FLAG_FIELDS.items():
-        flag_value = getattr(ns, flag, None)
+    for f in fields(ModelConfig):
+        flag_value = getattr(ns, f.name, None)
         if flag_value is not None:
-            values[field_name] = flag_value
+            values[f.name] = flag_value
     try:
         return ModelConfig(**values)
     except TypeError as exc:
@@ -175,28 +157,17 @@ def config_echo(config: ModelConfig) -> dict:
     return doc
 
 
-def run_dataset(config: ModelConfig, spec: str, repeats: int) -> tuple[dict, model_mod.FlightKoobaModel]:
-    """Train (with repeats), evaluate on the test split, and shape the report."""
-    if repeats < 1:
-        raise ConfigError(f"repeats must be positive, got {repeats}")
+def run_dataset(config: ModelConfig, spec: str) -> tuple[dict, model_mod.FlightKoobaModel]:
+    """Train once, evaluate on the test split, and shape the report."""
     tag, names, table = load_dataset(spec)
     dataset = normalize(names, table)
     states, controls = split_controls(dataset, config.controls)
     split = dataset.split_index
 
-    times_ms: list[float] = []
-    repeat_mse: list[float] = []
-    first_model = None
-    first_eval = None
-    for i in range(repeats):
-        run_config = replace(config, seed=config.seed + i)
-        t0 = time.perf_counter()
-        fitted = model_mod.fit(run_config, states[:split], controls[:split])
-        times_ms.append((time.perf_counter() - t0) * 1e3)
-        scores = model_mod.evaluate(fitted, states[split:], controls[split:])
-        repeat_mse.append(scores["mean"])
-        if i == 0:
-            first_model, first_eval = fitted, scores
+    t0 = time.perf_counter()
+    fitted = model_mod.fit(config, states[:split], controls[:split])
+    train_ms = (time.perf_counter() - t0) * 1e3
+    scores = model_mod.evaluate(fitted, states[split:], controls[split:])
     # the allocator high-water mark of featurizing the train split, whose
     # arrays are what grows with the data; no timed fit runs under tracemalloc
     tracemalloc.start()
@@ -206,15 +177,10 @@ def run_dataset(config: ModelConfig, spec: str, repeats: int) -> tuple[dict, mod
     finally:
         tracemalloc.stop()
 
-    report = _scored_report("train", tag, config, first_model, first_eval)
-    report["train_time_ms"] = mean(times_ms)
-    report["train_time_ms_stats"] = {"min": min(times_ms), "mean": mean(times_ms),
-                                     "stddev": pstdev(times_ms)}
+    report = _scored_report("train", tag, config, fitted, scores)
+    report["train_time_ms"] = train_ms
     report["memory_bytes_estimate"] = int(peak)
-    if repeats > 1:
-        report["repeats"] = {"count": repeats, "mse_means": repeat_mse,
-                             "mean": mean(repeat_mse), "stddev": pstdev(repeat_mse)}
-    return report, first_model
+    return report, fitted
 
 
 def _scored_report(command: str, tag: str, config: ModelConfig,
@@ -253,7 +219,7 @@ def cmd_train(ns: argparse.Namespace) -> int:
     config = make_config(ns)
     if len(ns.dataset) != 1:
         raise ConfigError("train takes exactly one --dataset")
-    report, fitted = run_dataset(config, ns.dataset[0], ns.repeats)
+    report, fitted = run_dataset(config, ns.dataset[0])
     out = Path(ns.out)
     out.mkdir(parents=True, exist_ok=True)
     model_mod.save_model(fitted, out / "model.json")
@@ -296,7 +262,7 @@ def cmd_bench(ns: argparse.Namespace) -> int:
     last_error_code = EXIT_CONFIG
     for spec in ns.dataset:
         try:
-            report, fitted = run_dataset(config, spec, ns.repeats)
+            report, fitted = run_dataset(config, spec)
             rows.append({
                 "dataset": report["dataset"],
                 "mse_mean": report["mse"]["mean"],
@@ -384,11 +350,9 @@ def validate_report(doc: dict) -> list[str]:
 
 
 def _exit_code_for(exc: Exception) -> int:
-    if isinstance(exc, TrainingAbortedError):
+    if isinstance(exc, (TrainingAbortedError, NumericalError)):
         return EXIT_TRAINING
-    if isinstance(exc, NumericalError):
-        return EXIT_TRAINING
-    if isinstance(exc, (ConfigError, InputError, KoobaError)):
+    if isinstance(exc, KoobaError):
         return EXIT_CONFIG
     if isinstance(exc, OSError):
         return EXIT_IO

@@ -7,9 +7,13 @@ derivative stack, while a rank-one control matrix B = B_base b^T injects
 exogenous inputs.
 
 Convention note: the derivative stack follows the rescaled chain rule
-d/ds p_n = n * p_{n-1} used consistently by the coefficient transform below,
-not the classical Legendre derivative identity. The two definitions are used
-together and cancel; see lift_initial_state and poly_ode_coeffs.
+d/ds p_n = n * p_{n-1}, the falling-product scaling that both the coefficient
+transform (poly_ode_coeffs) and the lift (lift_initial_state) use, not the
+classical Legendre derivative identity. Nothing shows that the two agree with
+the window polynomial: readout of the unstepped lift at s0 = 1 differs from
+legendre.reconstruct(c, 1.0) by about 0.04 rms on [0, 1]-scaled Lorenz test
+windows (0.041 legs, 0.046 legt, feature x). An independent oracle for this
+identity is open work (ROADMAP item 3(a)).
 """
 
 from __future__ import annotations
@@ -29,13 +33,6 @@ DEGENERATE_TOL = 1e-12
 SINGULAR_TOL = 1e-14       # smallest over largest pivot of the bilinear solve
 
 
-@dataclass(frozen=True)
-class PolyODECoeffs:
-    """Scalar-ODE coefficients a_0..a_n recovered from a coefficient vector."""
-    a: np.ndarray
-    order: int
-
-
 def check_order(order: int) -> None:
     """Reject orders whose factorial-sized rescaling exceeds float precision."""
     if order > MAX_DIRECT_ORDER:
@@ -44,19 +41,17 @@ def check_order(order: int) -> None:
             f"(factorials are exactly representable only up to about {MAX_DIRECT_ORDER}!)")
 
 
-def poly_ode_coeffs(c, require_leading: bool = True) -> PolyODECoeffs:
+def poly_ode_coeffs(c) -> np.ndarray:
     """Rescale projection coefficients c_0..c_n into ODE coefficients a_0..a_n.
 
     a_{n-k} = sqrt((2k+1)/2) * c_k / (n * (n-1) * ... * (k+1)), with the empty
-    product equal to 1. By default a vanishing leading coefficient raises (the
-    companion matrix downstream would be undefined); require_leading=False
-    returns the raw transform for inspection and takes c with leading axes
-    (..., n+1), each entry computed as a single vector.
+    product equal to 1. c may carry leading axes (..., n+1), each entry
+    computed as a single vector. A vanishing a_n is returned as it is: whether
+    a companion system exists is decided by companion_discrete.
     """
     c = np.asarray(c, dtype=float)
-    if c.ndim == 0 or c.shape[-1] == 0 or (require_leading and c.ndim != 1):
-        raise InputError("coefficient vector must be a non-empty 1-d array "
-                         "(a batch needs require_leading=False)")
+    if c.ndim == 0 or c.shape[-1] == 0:
+        raise InputError("coefficient vector must be a non-empty array")
     n = c.shape[-1] - 1
     check_order(n)
     scale = np.sqrt((2 * np.arange(n + 1) + 1) / 2.0)
@@ -66,20 +61,16 @@ def poly_ode_coeffs(c, require_leading: bool = True) -> PolyODECoeffs:
     a = (scale * c / falling)[..., ::-1]
     if not np.all(np.isfinite(a)):
         raise NumericalError("non-finite ODE coefficients")
-    if require_leading and abs(a[n]) < DEGENERATE_TOL:
-        raise DegenerateCoefficientsError(
-            f"leading coefficient a_n = {a[n]:.3e} below {DEGENERATE_TOL}; "
-            f"companion matrix undefined for this window")
-    return PolyODECoeffs(a=a, order=n)
+    return a
 
 
-def build_companion(coeffs: PolyODECoeffs) -> tuple[np.ndarray, np.ndarray]:
+def build_companion(a) -> tuple[np.ndarray, np.ndarray]:
     """Companion matrix A and base input column B_base = (0, ..., 0, 1/a_n).
 
-    coeffs.a may carry leading axes, one system per entry.
+    a may carry leading axes (..., n+1), one system per entry.
     """
-    n = coeffs.order
-    a = np.asarray(coeffs.a, dtype=float)
+    a = np.asarray(a, dtype=float)
+    n = a.shape[-1] - 1
     if n == 0:
         raise ConfigError("order 0 is unsupported: the state vector would be empty")
     if np.any(np.abs(a[..., n]) < DEGENERATE_TOL):
@@ -125,29 +116,29 @@ class KoopmanSystem:
     Discrete update: x' = Abar x + w * (b . u), i.e. the discrete control
     matrix is the outer product of w with the trainable weights b.
     """
-    coeffs: PolyODECoeffs
+    a: np.ndarray                     # ODE coefficients a_0..a_n
     b: np.ndarray
     Abar: np.ndarray
     w: np.ndarray
 
 
-def companion_discrete(coeffs: PolyODECoeffs,
-                       dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def companion_discrete(a, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Control-independent discrete pieces (Abar, w, ok) of companion systems.
 
     Abar = (I - dt/2 A)^-1 (I + dt/2 A) and w = dt (I - dt/2 A)^-1 B_base, one
-    per entry of coeffs.a's leading axes, from one stacked solve. ok is False
-    where the system is undefined, and Abar and w are zero there: a vanishing
+    per entry of a's leading axes, from one stacked solve. ok is False where
+    the system is undefined, and Abar and w are zero there: a vanishing
     leading coefficient, or a singular solve, whose smallest pivot in the
     partially pivoted factorization of I - dt/2 A is below SINGULAR_TOL times
-    the largest (or 1).
+    the largest (or 1). This is the one place that decides it; require_defined
+    turns a false ok of a single system into its error.
     """
     if dt <= 0:
         raise ConfigError(f"step size must be positive, got {dt}")
-    n = coeffs.order
-    a = np.asarray(coeffs.a, dtype=float)
+    a = np.asarray(a, dtype=float)
+    n = a.shape[-1] - 1
     ok = np.abs(a[..., n]) >= DEGENERATE_TOL
-    A, b_base = build_companion(PolyODECoeffs(a=np.where(ok[..., None], a, 1.0), order=n))
+    A, b_base = build_companion(np.where(ok[..., None], a, 1.0))
     half = dt / 2.0
     eye = np.eye(n)
     lhs = eye - half * A
@@ -173,18 +164,28 @@ def companion_discrete(coeffs: PolyODECoeffs,
     return sol[..., :n], dt * sol[..., n], ok
 
 
-def build_system(coeffs: PolyODECoeffs, b, dt: float) -> KoopmanSystem:
-    """Assemble the full system around trained control weights b."""
+def require_defined(a, ok, dt: float) -> None:
+    """Raise unless companion_discrete found the one system of a defined."""
+    if np.ndim(a) != 1:
+        raise InputError(f"need one coefficient vector, got shape {np.shape(a)}")
+    if ok:
+        return
+    if abs(a[-1]) < DEGENERATE_TOL:
+        raise DegenerateCoefficientsError(
+            f"leading coefficient |a_n| = {abs(a[-1]):.3e} below {DEGENERATE_TOL}; "
+            f"companion matrix undefined for this window")
+    raise NumericalError(f"bilinear solve singular at dt = {dt}")
+
+
+def build_system(a, b, dt: float) -> KoopmanSystem:
+    """Assemble the system of one coefficient vector a around weights b."""
     b = np.atleast_1d(np.asarray(b, dtype=float))
     if b.size == 0:
         raise ConfigError("control weight vector must not be empty")
-    a_n = coeffs.a[coeffs.order]
-    if abs(a_n) < DEGENERATE_TOL:
-        raise DegenerateCoefficientsError(f"leading coefficient |a_n| = {abs(a_n):.3e}")
-    abar, w, ok = companion_discrete(coeffs, dt)
-    if not ok:
-        raise NumericalError(f"bilinear solve singular at dt = {dt}")
-    return KoopmanSystem(coeffs=coeffs, b=b, Abar=abar, w=w)
+    a = np.asarray(a, dtype=float)
+    abar, w, ok = companion_discrete(a, dt)
+    require_defined(a, ok, dt)
+    return KoopmanSystem(a=a, b=b, Abar=abar, w=w)
 
 
 def propagate(sys: KoopmanSystem, state: LiftedState, u) -> LiftedState:
@@ -201,7 +202,7 @@ def propagate(sys: KoopmanSystem, state: LiftedState, u) -> LiftedState:
 
 def readout(sys: KoopmanSystem, state: LiftedState) -> float:
     """Forecast value a_0 * x1_prev + sum_i a_i * x_i."""
-    a = sys.coeffs.a
+    a = sys.a
     if a.size != state.x.size + 1:
         raise InputError(f"coefficient length {a.size} does not match state {state.x.size}")
     value = a[0] * state.x1_prev + float(a[1:] @ state.x)

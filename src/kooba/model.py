@@ -33,7 +33,8 @@ log = logging.getLogger(__name__)
 MODEL_FORMAT = 1
 # removed options that format-1 files may still carry: load_model drops each
 # at its old default, given here, and rejects any other value
-REMOVED_CONFIG_KEYS = {"momentum": 0.0, "teacher_forcing": False, "extended_order": False}
+REMOVED_CONFIG_KEYS = {"momentum": 0.0, "teacher_forcing": False, "extended_order": False,
+                       "s0": 1.0, "dt_system": None}
 
 
 @dataclass(frozen=True)
@@ -42,7 +43,6 @@ class ModelConfig:
     order: int = 6
     omega: float | None = None        # legt window length; defaults to seq_len * dt_basis
     dt_basis: float | None = None     # projection step; defaults to 2 / seq_len
-    dt_system: float | None = None    # forecast step; defaults to 2 / seq_len
     controls: int = 1
     seq_len: int = 8
     horizon: int = 1
@@ -51,7 +51,6 @@ class ModelConfig:
     batch_size: int = 32
     stride: int | None = None         # defaults to seq_len (non-overlapping)
     seed: int = 0
-    s0: float = 1.0                   # lifted-state evaluation point
 
     def __post_init__(self):
         if self.method not in ("legt", "legs"):
@@ -71,12 +70,10 @@ class ModelConfig:
             raise ConfigError(f"learning rate must be positive, got {self.learning_rate}")
         if self.stride is not None and self.stride < 1:
             raise ConfigError(f"stride must be positive, got {self.stride}")
-        for name in ("omega", "dt_basis", "dt_system"):
+        for name in ("omega", "dt_basis"):
             v = getattr(self, name)
             if v is not None and v <= 0:
                 raise ConfigError(f"{name} must be positive, got {v}")
-        if not -1.0 <= self.s0 <= 1.0:
-            raise ConfigError(f"s0 must lie in [-1, 1], got {self.s0}")
 
     @property
     def eff_stride(self) -> int:
@@ -89,7 +86,8 @@ class ModelConfig:
 
     @property
     def eff_dt_system(self) -> float:
-        return 2.0 / self.seq_len if self.dt_system is None else self.dt_system
+        # the forecast step: one sample of the length-2 window domain
+        return 2.0 / self.seq_len
 
     @property
     def eff_omega(self) -> float | None:
@@ -141,21 +139,20 @@ def _as_2d(arr, name: str) -> np.ndarray:
     return arr
 
 
-def _rollout(config: ModelConfig, coeffs: koopman.PolyODECoeffs,
+def _rollout(config: ModelConfig, a: np.ndarray,
              u_future: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Forecast pieces alpha (..., h) and G (..., h, m) of companion systems.
 
-    coeffs.a is (..., n+1); u_future (..., h, m) broadcasts against its
+    a is (..., n+1); u_future (..., h, m) broadcasts against its
     leading axes. Convolution form of the lifted recurrence x' = Abar x + w u:
     carry Abar^t [x0, w] for t = 0..h, read alpha off the first column and the
     control impulse response k off the second, then G = Toeplitz(k) u. The
     third result marks the systems that are defined (koopman.companion_discrete).
     """
     h = u_future.shape[-2]
-    abar, w, ok = koopman.companion_discrete(coeffs, config.eff_dt_system)
-    a = coeffs.a
+    abar, w, ok = koopman.companion_discrete(a, config.eff_dt_system)
     carry = np.empty(w.shape[:-1] + (h + 1,) + w.shape[-1:] + (2,))   # (..., h+1, n, 2)
-    carry[..., 0, :, 0] = koopman.lift_initial_state(config.order, config.s0).x
+    carry[..., 0, :, 0] = koopman.lift_initial_state(config.order).x
     carry[..., 0, :, 1] = w
     for t in range(h):
         carry[..., t + 1, :, :] = abar @ carry[..., t, :, :]
@@ -190,8 +187,8 @@ def featurize(config: ModelConfig, states: np.ndarray, controls: np.ndarray) -> 
     for lo in range(0, n_rows, step):
         rows = slice(lo, lo + step)
         c = hippo.block_step(zero, hist[rows], kernel).c
-        coeffs = koopman.poly_ode_coeffs(c, require_leading=False)
-        alpha[rows], G[rows], ok[rows] = _rollout(config, coeffs, u_future[rows, None])
+        a = koopman.poly_ode_coeffs(c)
+        alpha[rows], G[rows], ok[rows] = _rollout(config, a, u_future[rows, None])
     usable = ok.all(axis=1)
     skipped = int(usable.size - np.count_nonzero(usable))
     if skipped:
@@ -211,16 +208,6 @@ def window_loss_grad(alpha: np.ndarray, G: np.ndarray, y: np.ndarray,
     loss = float(np.mean(residual * residual))
     grad = 2.0 * (residual[..., None, :] @ G)[..., 0, :] / residual.shape[-1]
     return loss, grad.reshape((-1,) + b.shape).mean(axis=0)
-
-
-def mse(pred, truth) -> float:
-    """Mean squared difference of two equal-length vectors."""
-    pred = np.asarray(pred, dtype=float)
-    truth = np.asarray(truth, dtype=float)
-    if pred.shape != truth.shape or pred.size == 0:
-        raise InputError(f"mse needs equal non-empty shapes, got {pred.shape} vs {truth.shape}")
-    diff = pred - truth
-    return float(diff.ravel() @ diff.ravel()) / diff.size
 
 
 def fit(config: ModelConfig, states, controls) -> FlightKoobaModel:
@@ -319,10 +306,9 @@ def predict(model: FlightKoobaModel, c_state: hippo.CoefficientState,
         raise InputError(f"feature index {feature} out of range")
     if not np.all(np.isfinite(u_future)):
         raise InputError("non-finite control input")
-    coeffs = koopman.poly_ode_coeffs(c_state.c)
-    alpha, G, ok = _rollout(config, coeffs, u_future)
-    if not ok:
-        raise NumericalError(f"bilinear solve singular at dt = {config.eff_dt_system}")
+    a = koopman.poly_ode_coeffs(c_state.c)
+    alpha, G, ok = _rollout(config, a, u_future)
+    koopman.require_defined(a, ok, config.eff_dt_system)
     out = alpha + G @ model.b[feature]
     if not np.all(np.isfinite(out)):
         raise NumericalError("non-finite forecast")

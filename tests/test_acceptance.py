@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 
 from kooba import (ConfigError, LiftedState, LorenzParams, ModelConfig,
-                   PolyODECoeffs, block_step, build_basis, build_companion,
-                   build_kernel, build_system, cli, closed_form_b, evaluate,
+                   block_step, build_basis, build_companion, build_kernel,
+                   build_system, cli, closed_form_b, evaluate,
                    fit, gauss_legendre_rule, gen_lorenz, legendre_eval,
                    legendre_values, lookback_argument, normalize, project,
                    propagate, reconstruct, split_controls, step,
@@ -106,7 +106,7 @@ def _rk4_step_maps(A, dt):
 def test_criterion_4_forced_oscillator_forecast():
     t0 = time.perf_counter()
     # unit mass, damping 0.5, stiffness 2, unit step input, 10s from rest
-    coeffs = PolyODECoeffs(a=np.array([2.0, 0.5, 1.0]), order=2)
+    coeffs = np.array([2.0, 0.5, 1.0])
     sys = build_system(coeffs, [1.0], 0.01)
     state = LiftedState(x=np.zeros(2), x1_prev=0.0)
     pos = np.empty(1000)

@@ -1,16 +1,19 @@
+import argparse
 import json
 import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import kooba
-from kooba import (ModelConfig, cli, fit, gen_lorenz, load_model, normalize,
-                   split_controls)
+from kooba import (ConfigError, DegenerateCoefficientsError, InputError,
+                   KoobaError, ModelConfig, NumericalError, TrainingAbortedError,
+                   cli, fit, gen_lorenz, load_model, normalize, split_controls)
 from kooba.data import save_csv
 
 
@@ -131,6 +134,51 @@ def test_exit_codes(tmp_path, synthetic_csv):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("error, code", [
+    (ConfigError, cli.EXIT_CONFIG),
+    (InputError, cli.EXIT_CONFIG),
+    (KoobaError, cli.EXIT_CONFIG),
+    (TrainingAbortedError, cli.EXIT_TRAINING),
+    (NumericalError, cli.EXIT_TRAINING),
+    (DegenerateCoefficientsError, cli.EXIT_TRAINING),
+    (FileNotFoundError, cli.EXIT_IO),
+    (PermissionError, cli.EXIT_IO),
+])
+def test_exit_code_for_each_error_class(error, code):
+    assert cli._exit_code_for(error("boom")) == code
+
+
+def test_unexpected_errors_are_not_mapped():
+    with pytest.raises(ValueError, match="boom"):
+        cli._exit_code_for(ValueError("boom"))
+
+
+def test_renamed_flags_reach_their_fields(tmp_path, synthetic_csv):
+    out = tmp_path / "out"
+    rc = cli.main(["train", "--dataset", f"csv:{synthetic_csv}", "--epochs", "2",
+                   "--lr", "0.02", "--dt", "0.3", "--batch-size", "5",
+                   "--seq-len", "10", "--stride", "3", "--out", str(out)])
+    assert rc == cli.EXIT_OK
+    config = json.loads((out / "report.json").read_text())["config"]
+    assert config["learning_rate"] == 0.02
+    assert config["dt_basis"] == 0.3 and config["dt_basis_effective"] == 0.3
+    assert config["batch_size"] == 5
+    assert config["seq_len"] == 10
+    assert config["stride"] == 3 and config["stride_effective"] == 3
+    assert config["dt_system_effective"] == pytest.approx(2.0 / 10)
+
+
+def test_every_model_flag_names_a_config_field():
+    # make_config reads ModelConfig's fields off the namespace, so a flag whose
+    # dest is not a field would be parsed and then silently ignored
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    harness = {"dataset", "out", "config", "help"}
+    for command in ("train", "bench"):
+        dests = {a.dest for a in sub.choices[command]._actions}
+        assert dests - harness == {f.name for f in fields(ModelConfig)}, command
+
+
 def test_failed_run_leaves_no_report(tmp_path, synthetic_csv):
     out = tmp_path / "nothing"
     rc = cli.main(["train", "--dataset", f"csv:{synthetic_csv}", "--order", "0",
@@ -157,6 +205,13 @@ def test_config_file_rejects_unknown_keys(tmp_path, synthetic_csv):
     rc = cli.main(["train", "--dataset", f"csv:{synthetic_csv}",
                    "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert rc == cli.EXIT_CONFIG
+    # a removed option is an unknown key, even at its old default
+    removed = tmp_path / "removed.json"
+    removed.write_text('{"s0": 1.0}', encoding="utf-8")
+    rc = cli.main(["train", "--dataset", f"csv:{synthetic_csv}",
+                   "--config", str(removed), "--out", str(tmp_path / "o")])
+    assert rc == cli.EXIT_CONFIG
+    assert not (tmp_path / "o").exists()
     broken = tmp_path / "broken.json"
     broken.write_text("{not json", encoding="utf-8")
     rc = cli.main(["train", "--dataset", f"csv:{synthetic_csv}",
@@ -171,19 +226,6 @@ def test_corrupted_model_file(tmp_path, synthetic_csv):
                    "--dataset", f"csv:{synthetic_csv}",
                    "--out", str(tmp_path / "ev")])
     assert rc == cli.EXIT_CONFIG
-
-
-def test_repeats_aggregate(tmp_path, synthetic_csv):
-    out = tmp_path / "out"
-    rc = cli.main(["train", "--dataset", f"csv:{synthetic_csv}",
-                   "--epochs", "3", "--repeats", "2", "--out", str(out)])
-    assert rc == cli.EXIT_OK
-    report = json.loads((out / "report.json").read_text())
-    assert cli.validate_report(report) == []
-    assert report["repeats"]["count"] == 2
-    assert len(report["repeats"]["mse_means"]) == 2
-    assert report["train_time_ms"] == pytest.approx(
-        report["train_time_ms_stats"]["mean"])
 
 
 def test_validate_report_catches_problems(tmp_path, synthetic_csv):
@@ -217,10 +259,10 @@ def test_train_time_is_measured_without_tracemalloc(tmp_path, synthetic_csv, mon
         return real_fit(*args)
 
     monkeypatch.setattr(cli.model_mod, "fit", recording_fit)
-    rc, out = _train(tmp_path, synthetic_csv, "out", ["--repeats", "2"])
+    rc, out = _train(tmp_path, synthetic_csv, "out")
     assert rc == cli.EXIT_OK
     report = json.loads((out / "report.json").read_text())
-    assert calls == [False, False]
+    assert calls == [False]
     assert report["memory_bytes_estimate"] > 0
 
 

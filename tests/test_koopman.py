@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from kooba import (ConfigError, DegenerateCoefficientsError, InputError,
-                   LiftedState, PolyODECoeffs, build_companion, build_system,
-                   lift_initial_state, poly_ode_coeffs, propagate, readout)
+                   LiftedState, NumericalError, build_companion, build_system,
+                   companion_discrete, lift_initial_state, poly_ode_coeffs,
+                   propagate, readout, require_defined)
 from kooba.koopman import check_order
 
 
@@ -19,53 +20,73 @@ def _transform_oracle(c):
 
 
 def test_transform_constant_window():
-    coeffs = poly_ode_coeffs([1.0, 0.0, 0.0])
-    np.testing.assert_allclose(coeffs.a, [0.0, 0.0, np.sqrt(0.5) / 2.0])
-    assert coeffs.order == 2
+    np.testing.assert_allclose(poly_ode_coeffs([1.0, 0.0, 0.0]),
+                               [0.0, 0.0, np.sqrt(0.5) / 2.0])
 
 
 def test_transform_top_coefficient_is_degenerate():
-    # only the highest-degree input survives; its leading ODE coefficient vanishes
+    # only the highest-degree input survives; its leading ODE coefficient
+    # vanishes, which the transform returns and companion_discrete flags
+    a = poly_ode_coeffs([0.0, 0.0, 1.0])
+    np.testing.assert_allclose(a, [np.sqrt(2.5), 0.0, 0.0])
+    abar, w, ok = companion_discrete(a, 0.25)
+    assert not ok
+    assert np.all(abar == 0.0) and np.all(w == 0.0)
     with pytest.raises(DegenerateCoefficientsError):
-        poly_ode_coeffs([0.0, 0.0, 1.0])
-    coeffs = poly_ode_coeffs([0.0, 0.0, 1.0], require_leading=False)
-    np.testing.assert_allclose(coeffs.a, [np.sqrt(2.5), 0.0, 0.0])
+        require_defined(a, ok, 0.25)
+    with pytest.raises(DegenerateCoefficientsError):
+        build_system(a, [1.0], 0.25)
 
 
 def test_transform_against_exact_factorials():
     rng = np.random.default_rng(5)
     for n in (1, 3, 8, 15, 20, 21, 25, 32):
         c = rng.normal(size=n + 1)
-        got = poly_ode_coeffs(c, require_leading=False).a
-        np.testing.assert_allclose(got, _transform_oracle(c), rtol=1e-10)
+        np.testing.assert_allclose(poly_ode_coeffs(c), _transform_oracle(c), rtol=1e-10)
 
 
 def test_transform_of_a_batch_is_bit_identical():
     rng = np.random.default_rng(6)
     for n in (1, 6, 20, 21, 32):
         c = rng.normal(size=(4, 3, n + 1))
-        batch = poly_ode_coeffs(c, require_leading=False).a
+        batch = poly_ode_coeffs(c)
         for i in np.ndindex(4, 3):
-            single = poly_ode_coeffs(c[i], require_leading=False).a
-            np.testing.assert_array_equal(batch[i], single)
+            np.testing.assert_array_equal(batch[i], poly_ode_coeffs(c[i]))
 
 
 def test_order_limits():
     check_order(32)
     with pytest.raises(ConfigError, match="32"):
         poly_ode_coeffs(np.ones(34))
-    with pytest.raises(InputError):
-        poly_ode_coeffs(np.ones((2, 2)))
+    for empty in (1.0, np.empty(0), np.empty((2, 0))):
+        with pytest.raises(InputError):
+            poly_ode_coeffs(empty)
+
+
+def test_require_defined_names_the_failure():
+    a = np.array([1.0, 1.0])
+    require_defined(a, True, 0.1)
+    with pytest.raises(DegenerateCoefficientsError, match="leading coefficient"):
+        require_defined(np.array([1.0, 1e-13]), False, 0.1)
+    # a defined leading coefficient: the solve was singular
+    with pytest.raises(NumericalError, match="bilinear solve singular at dt = 0.1") as exc:
+        require_defined(a, False, 0.1)
+    assert not isinstance(exc.value, DegenerateCoefficientsError)
+    # one system only: a batch's flags are not a single answer
+    with pytest.raises(InputError, match="one coefficient vector"):
+        require_defined(np.ones((2, 2)), np.array([True, True]), 0.1)
+    with pytest.raises(InputError, match="one coefficient vector"):
+        build_system(np.ones((2, 2)), [1.0], 0.1)
 
 
 def test_companion_example():
-    A, b_base = build_companion(PolyODECoeffs(a=np.array([2.0, 3.0, 1.0]), order=2))
+    A, b_base = build_companion(np.array([2.0, 3.0, 1.0]))
     np.testing.assert_allclose(A, [[0.0, 1.0], [-2.0, -3.0]])
     np.testing.assert_allclose(b_base, [0.0, 1.0])
 
 
 def test_companion_first_order_and_scaling():
-    A, b_base = build_companion(PolyODECoeffs(a=np.array([1.0, 2.0]), order=1))
+    A, b_base = build_companion(np.array([1.0, 2.0]))
     np.testing.assert_allclose(A, [[-0.5]])
     np.testing.assert_allclose(b_base, [0.5])
 
@@ -76,7 +97,7 @@ def test_companion_characteristic_polynomial():
     for n in range(1, 6):
         a = rng.normal(size=n + 1)
         a[n] = np.sign(a[n]) * (abs(a[n]) + 0.5)
-        A, _ = build_companion(PolyODECoeffs(a=a, order=n))
+        A, _ = build_companion(a)
         monic = (a / a[n])[::-1]
         for lam in (-1.3, 0.2, 0.9, 2.1):
             det = np.linalg.det(lam * np.eye(n) - A)
@@ -85,9 +106,9 @@ def test_companion_characteristic_polynomial():
 
 def test_companion_guards():
     with pytest.raises(ConfigError):
-        build_companion(PolyODECoeffs(a=np.array([1.0]), order=0))
+        build_companion(np.array([1.0]))
     with pytest.raises(DegenerateCoefficientsError):
-        build_companion(PolyODECoeffs(a=np.array([1.0, 0.0]), order=1))
+        build_companion(np.array([1.0, 0.0]))
 
 
 def test_lifted_state_values():
@@ -104,7 +125,7 @@ def test_lifted_state_values():
 
 def test_propagate_scalar_decay():
     # x' = -x under the bilinear rule at dt = 0.1; zero weights ignore the input
-    sys = build_system(PolyODECoeffs(a=np.array([1.0, 1.0]), order=1), [0.0], 0.1)
+    sys = build_system(np.array([1.0, 1.0]), [0.0], 0.1)
     out = propagate(sys, LiftedState(x=np.array([2.0]), x1_prev=0.0), [5.0])
     assert out.x[0] == pytest.approx(2.0 * 0.95 / 1.05)
     assert out.x1_prev == 2.0
@@ -112,7 +133,7 @@ def test_propagate_scalar_decay():
 
 def test_propagate_frozen_state():
     # a = (0, 1) gives A = 0, so with zero weights nothing moves
-    sys = build_system(PolyODECoeffs(a=np.array([0.0, 1.0]), order=1), [0.0], 0.5)
+    sys = build_system(np.array([0.0, 1.0]), [0.0], 0.5)
     out = propagate(sys, LiftedState(x=np.array([1.7]), x1_prev=0.3), [3.0])
     assert out.x[0] == pytest.approx(1.7)
     assert out.x1_prev == 1.7
@@ -120,29 +141,28 @@ def test_propagate_frozen_state():
 
 def test_propagate_control_injection():
     # same frozen system with unit weight: x' = u integrates the input
-    sys = build_system(PolyODECoeffs(a=np.array([0.0, 1.0]), order=1), [1.0], 0.5)
+    sys = build_system(np.array([0.0, 1.0]), [1.0], 0.5)
     out = propagate(sys, LiftedState(x=np.array([0.0]), x1_prev=0.0), [2.0])
     assert out.x[0] == pytest.approx(1.0)  # dt * u
 
 
 def test_propagate_input_checks():
-    sys = build_system(PolyODECoeffs(a=np.array([1.0, 1.0]), order=1), [0.5], 0.1)
+    sys = build_system(np.array([1.0, 1.0]), [0.5], 0.1)
     state = LiftedState(x=np.array([1.0]), x1_prev=0.0)
     with pytest.raises(InputError):
         propagate(sys, state, [1.0, 2.0])
     with pytest.raises(InputError):
         propagate(sys, state, [float("nan")])
     with pytest.raises(ConfigError):
-        build_system(PolyODECoeffs(a=np.array([1.0, 1.0]), order=1), [0.5], 0.0)
+        build_system(np.array([1.0, 1.0]), [0.5], 0.0)
     with pytest.raises(ConfigError):
-        build_system(PolyODECoeffs(a=np.array([1.0, 1.0]), order=1), [], 0.1)
+        build_system(np.array([1.0, 1.0]), [], 0.1)
     with pytest.raises(DegenerateCoefficientsError):
-        build_system(PolyODECoeffs(a=np.array([1.0, 0.0]), order=1), [0.5], 0.1)
+        build_system(np.array([1.0, 0.0]), [0.5], 0.1)
 
 
 def test_readout_uses_retained_first_entry():
-    coeffs = PolyODECoeffs(a=np.array([0.5, -1.0, 2.0]), order=2)
-    sys = build_system(coeffs, [1.0], 0.1)
+    sys = build_system(np.array([0.5, -1.0, 2.0]), [1.0], 0.1)
     state = LiftedState(x=np.array([3.0, 4.0]), x1_prev=7.0)
     assert readout(sys, state) == pytest.approx(0.5 * 7.0 - 1.0 * 3.0 + 2.0 * 4.0)
     with pytest.raises(InputError):
@@ -165,14 +185,13 @@ def _rk4_lti(A, b_vec, u, z0, dt, steps):
 def test_damped_oscillator_step_response():
     # unit mass, damping 0.5, stiffness 2, unit step input, from rest
     a = np.array([2.0, 0.5, 1.0])
-    coeffs = PolyODECoeffs(a=a, order=2)
-    sys = build_system(coeffs, [1.0], 0.01)
+    sys = build_system(a, [1.0], 0.01)
     state = LiftedState(x=np.zeros(2), x1_prev=0.0)
     pos = np.empty(200)
     for i in range(200):
         state = propagate(sys, state, [1.0])
         pos[i] = state.x[0]
-    A, b_base = build_companion(coeffs)
+    A, b_base = build_companion(a)
     ref = _rk4_lti(A, b_base, 1.0, np.zeros(2), 1e-4, 20000)[99::100, 0]
     rel = np.linalg.norm(pos - ref) / np.linalg.norm(ref)
     assert rel < 1e-3

@@ -8,10 +8,10 @@ from scipy.linalg import lu_factor
 
 from kooba import (ConfigError, DegenerateCoefficientsError, InputError,
                    ModelConfig, NumericalError, cli, closed_form_b, evaluate,
-                   fit, gen_lorenz, init_state, koopman, load_model, mse,
+                   fit, gen_lorenz, init_state, koopman, load_model,
                    normalize, predict, save_model, split_controls,
                    window_count, window_loss_grad)
-from kooba.hippo import project
+from kooba.hippo import CoefficientState, project
 from kooba.model import CHUNK_ROWS, FlightKoobaModel, build_basis, featurize
 
 from conftest import realizable_series
@@ -46,18 +46,6 @@ def test_config_validation():
         ModelConfig(learning_rate=0.0)
     with pytest.raises(ConfigError):
         ModelConfig(stride=0)
-    with pytest.raises(ConfigError):
-        ModelConfig(s0=1.5)
-
-
-def test_mse_basics():
-    assert mse([1.0, 2.0], [1.0, 2.0]) == 0.0
-    assert mse([0.0, 0.0], [1.0, 1.0]) == 1.0
-    assert mse([1.0, 2.0, 3.0], [1.0, 2.0, 4.0]) == pytest.approx(1.0 / 3.0)
-    with pytest.raises(InputError):
-        mse([1.0], [1.0, 2.0])
-    with pytest.raises(InputError):
-        mse([], [])
 
 
 def test_gradient_matches_central_differences():
@@ -184,6 +172,12 @@ def test_predict_edge_cases():
         predict(model, state, np.ones((3, 2)))
     with pytest.raises(InputError):
         predict(model, state, np.ones((3, 1)), feature=1)
+    # zero coefficients have no leading term: no companion system
+    with pytest.raises(DegenerateCoefficientsError):
+        predict(model, CoefficientState(c=np.zeros(4)), np.ones((3, 1)))
+    # a stack of coefficient vectors is not one state
+    with pytest.raises(InputError, match="one coefficient vector"):
+        predict(model, CoefficientState(c=np.stack([state.c, state.c])), np.ones((3, 1)))
 
 
 def test_evaluate_reports_per_feature_scores(realizable_fixture):
@@ -207,7 +201,8 @@ def test_save_load_round_trip(tmp_path, realizable_fixture):
     loaded = load_model(path)
     assert loaded.config == model.config
     written = json.loads(path.read_text(encoding="utf-8"))["config"]
-    assert not {"momentum", "teacher_forcing", "extended_order"} & set(written)
+    removed = {"momentum", "teacher_forcing", "extended_order", "s0", "dt_system"}
+    assert not removed & set(written)
     np.testing.assert_array_equal(loaded.b, model.b)
     assert loaded.loss_history == model.loss_history
     assert loaded.skipped_windows == model.skipped_windows
@@ -248,7 +243,8 @@ def test_golden_model_file_still_loads():
     assert model.skipped_windows == 0
 
 
-@pytest.mark.parametrize("key, value", [("momentum", 0.6), ("teacher_forcing", True)])
+@pytest.mark.parametrize("key, value", [("momentum", 0.6), ("teacher_forcing", True),
+                                        ("s0", 0.5), ("dt_system", 0.1)])
 def test_model_file_setting_a_removed_option_is_rejected(tmp_path, key, value):
     # the golden file holds every removed option at its old default and loads;
     # any other value names the option and fails like any bad config (exit 2)
@@ -299,9 +295,9 @@ def _smooth_series(n_rows, n_feat, n_ctrl, seed):
 
 def _reference_rollout(config, c, u_future, b):
     """Forecasts from one coefficient state by propagate/readout steps."""
-    coeffs = koopman.poly_ode_coeffs(c)
-    system = koopman.build_system(coeffs, b, config.eff_dt_system)
-    state = koopman.lift_initial_state(config.order, config.s0)
+    a = koopman.poly_ode_coeffs(c)
+    system = koopman.build_system(a, b, config.eff_dt_system)
+    state = koopman.lift_initial_state(config.order)
     out = []
     for u in u_future:
         state = koopman.propagate(system, state, u)
@@ -432,19 +428,18 @@ def test_singular_windows_are_skipped_like_the_pivoted_lu_check(lorenz_train):
     coeffs = np.empty(flagged.shape + (13,))
     for w in range(flagged.shape[0]):
         for f in range(2):
-            try:
-                c = koopman.poly_ode_coeffs(project(basis, states[8 * w:8 * w + 8, f]).c)
-            except DegenerateCoefficientsError:
+            a = koopman.poly_ode_coeffs(project(basis, states[8 * w:8 * w + 8, f]).c)
+            coeffs[w, f] = a
+            if abs(a[-1]) < koopman.DEGENERATE_TOL:
                 flagged[w, f] = True
                 continue
-            coeffs[w, f] = c.a
-            A, _ = koopman.build_companion(c)
+            A, _ = koopman.build_companion(a)
             lu, _ = lu_factor(np.eye(12) - dt / 2.0 * A)
             pivots = np.abs(np.diag(lu))
             flagged[w, f] = pivots.min() < 1e-14 * max(pivots.max(), 1.0)
     assert flagged.size == 2624 and np.count_nonzero(flagged) == 10
 
-    abar, w, ok = koopman.companion_discrete(koopman.PolyODECoeffs(a=coeffs, order=12), dt)
+    abar, w, ok = koopman.companion_discrete(coeffs, dt)
     np.testing.assert_array_equal(~ok, flagged)
     assert np.all(abar[flagged] == 0.0) and np.all(w[flagged] == 0.0)
 
