@@ -187,6 +187,16 @@ def test_failed_run_leaves_no_report(tmp_path, synthetic_csv):
     assert not out.exists()
 
 
+def test_diverging_training_exits_3_with_the_abort_message(tmp_path, capsys):
+    out = tmp_path / "diverged"
+    rc = cli.main(["train", "--dataset", "lorenz", "--horizon", "8", "--lr", "1.0",
+                   "--out", str(out)])
+    assert rc == cli.EXIT_TRAINING
+    assert capsys.readouterr().err == ("error: non-finite loss at epoch 9, window batch "
+                                       "starting at index 960\n")
+    assert not out.exists()
+
+
 def test_config_file_precedence(tmp_path, synthetic_csv):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"order": 5, "epochs": 4}', encoding="utf-8")

@@ -7,9 +7,9 @@ import pytest
 from scipy.linalg import lu_factor
 
 from kooba import (ConfigError, DegenerateCoefficientsError, InputError,
-                   ModelConfig, NumericalError, cli, closed_form_b, evaluate,
-                   fit, gen_lorenz, init_state, koopman, load_model,
-                   normalize, predict, save_model, split_controls,
+                   ModelConfig, NumericalError, TrainingAbortedError, cli,
+                   closed_form_b, evaluate, fit, gen_lorenz, init_state, koopman,
+                   load_model, normalize, predict, save_model, split_controls,
                    window_count, window_loss_grad)
 from kooba.hippo import CoefficientState, project
 from kooba.model import CHUNK_ROWS, FlightKoobaModel, build_basis, featurize
@@ -178,6 +178,14 @@ def test_predict_edge_cases():
     # a stack of coefficient vectors is not one state
     with pytest.raises(InputError, match="one coefficient vector"):
         predict(model, CoefficientState(c=np.stack([state.c, state.c])), np.ones((3, 1)))
+
+
+@pytest.mark.parametrize("length", [4, 9])
+def test_predict_rejects_a_state_of_the_wrong_length(length):
+    model = FlightKoobaModel(config=ModelConfig(), b=np.zeros((1, 1)))
+    with pytest.raises(InputError, match=f"shape \\({length},\\); a model of order 6 "
+                                         f"needs 7 coefficients"):
+        predict(model, CoefficientState(c=np.linspace(1.0, 2.0, length)), np.ones((3, 1)))
 
 
 def test_evaluate_reports_per_feature_scores(realizable_fixture):
@@ -397,6 +405,23 @@ def test_fit_matches_per_window_descent():
     assert model.b.shape == (2, 2)
 
 
+def test_fit_loss_curve_meets_the_rounding_floor(realizable_fixture):
+    # training works from per-window sums of squares, so near zero residual
+    # the loss curve can only match the per-window one to within the rounding
+    # of those sums, about 1e-16 of the first epoch's loss
+    config, states, controls, _ = realizable_fixture
+    kept = states.copy(), controls.copy()
+    alpha, G, y, _ = featurize(config, states, controls)
+    b_ref, loss_ref = _reference_sgd(config, alpha, G, y)
+    model = fit(config, states, controls)
+    assert _rel(model.b, b_ref) < 1e-12
+    loss = np.array(model.loss_history)
+    assert loss[-1] < 1e-12 * loss[0]
+    assert np.max(np.abs(loss - loss_ref)) <= 1e-15 * loss[0]
+    np.testing.assert_array_equal(states, kept[0])
+    np.testing.assert_array_equal(controls, kept[1])
+
+
 def test_batched_loss_is_the_mean_of_window_losses():
     rng = np.random.default_rng(8)
     alpha, y = rng.normal(size=(2, 5, 3, 4))
@@ -450,3 +475,13 @@ def test_singular_windows_are_skipped_like_the_pivoted_lu_check(lorenz_train):
     with pytest.raises(NumericalError, match="singular"):
         predict(model, project(basis, states[8 * w:8 * w + 8, f]),
                 controls[8 * w + 8:8 * w + 9], f)
+
+
+def test_fit_aborts_at_the_first_non_finite_batch_loss(lorenz_train):
+    states, controls = lorenz_train
+    kept = states.copy(), controls.copy()
+    with pytest.raises(TrainingAbortedError) as info:
+        fit(ModelConfig(horizon=8, learning_rate=1.0), states, controls)
+    assert str(info.value) == "non-finite loss at epoch 9, window batch starting at index 960"
+    np.testing.assert_array_equal(states, kept[0])
+    np.testing.assert_array_equal(controls, kept[1])
