@@ -9,7 +9,7 @@ datasets (data), driven by the kooba CLI (cli).
 from .errors import (ConfigError, DegenerateCoefficientsError, InputError,
                      KoobaError, NumericalError, TrainingAbortedError)
 from .legendre import (gauss_legendre_rule, legendre_eval, legendre_values,
-                       normalized_eval, reconstruct)
+                       reconstruct)
 from .hippo import (BlockKernel, CoefficientState, HippoBasis, block_step,
                     build_basis, build_continuous, build_kernel,
                     discretize_bilinear, init_state, lookback_argument,

@@ -24,8 +24,6 @@ import tracemalloc
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
-import numpy as np
-
 from . import model as model_mod
 from .data import LorenzParams, gen_lorenz, load_csv, normalize, split_controls
 from .errors import ConfigError, KoobaError, NumericalError, TrainingAbortedError
@@ -123,6 +121,8 @@ def make_config(ns: argparse.Namespace) -> ModelConfig:
                 file_cfg = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"config file {ns.config} is not valid JSON: {exc}") from exc
+        if not isinstance(file_cfg, dict):
+            raise ConfigError(f"config file {ns.config} must hold a JSON object")
         unknown = set(file_cfg) - {f.name for f in fields(ModelConfig)}
         if unknown:
             raise ConfigError(f"unknown config file keys: {sorted(unknown)}")
@@ -137,15 +137,20 @@ def make_config(ns: argparse.Namespace) -> ModelConfig:
         raise ConfigError(str(exc)) from exc
 
 
-def load_dataset(spec: str) -> tuple[str, list[str], np.ndarray]:
-    """Resolve a dataset spec into (tag, column names, raw table)."""
+def load_dataset(spec: str, controls: int) -> tuple[str, tuple, tuple]:
+    """Tag and normalized train and test (states, controls) pairs of a dataset spec."""
     if spec == "lorenz":
-        return "lorenz", ["x", "y", "z"], gen_lorenz(LorenzParams())
-    if spec.startswith("csv:"):
+        tag, names, table = "lorenz", ["x", "y", "z"], gen_lorenz(LorenzParams())
+    elif spec.startswith("csv:"):
         path = spec[4:]
         names, table = load_csv(path)
-        return Path(path).stem, names, table
-    raise ConfigError(f"unknown dataset spec {spec!r}; expected 'lorenz' or 'csv:PATH'")
+        tag = Path(path).stem
+    else:
+        raise ConfigError(f"unknown dataset spec {spec!r}; expected 'lorenz' or 'csv:PATH'")
+    dataset = normalize(names, table)
+    states, ctrl = split_controls(dataset, controls)
+    k = dataset.split_index
+    return tag, (states[:k], ctrl[:k]), (states[k:], ctrl[k:])
 
 
 def config_echo(config: ModelConfig) -> dict:
@@ -159,20 +164,16 @@ def config_echo(config: ModelConfig) -> dict:
 
 def run_dataset(config: ModelConfig, spec: str) -> tuple[dict, model_mod.FlightKoobaModel]:
     """Train once, evaluate on the test split, and shape the report."""
-    tag, names, table = load_dataset(spec)
-    dataset = normalize(names, table)
-    states, controls = split_controls(dataset, config.controls)
-    split = dataset.split_index
-
+    tag, train, test = load_dataset(spec, config.controls)
     t0 = time.perf_counter()
-    fitted = model_mod.fit(config, states[:split], controls[:split])
+    fitted = model_mod.fit(config, *train)
     train_ms = (time.perf_counter() - t0) * 1e3
-    scores = model_mod.evaluate(fitted, states[split:], controls[split:])
+    scores = model_mod.evaluate(fitted, *test)
     # the allocator high-water mark of featurizing the train split, whose
     # arrays are what grows with the data; no timed fit runs under tracemalloc
     tracemalloc.start()
     try:
-        model_mod.featurize(config, states[:split], controls[:split])
+        model_mod.featurize(config, *train)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -238,12 +239,9 @@ def cmd_eval(ns: argparse.Namespace) -> int:
     if ns.horizon is not None:
         config = replace(config, horizon=ns.horizon)
         loaded = replace(loaded, config=config)
-    tag, names, table = load_dataset(ns.dataset[0])
-    dataset = normalize(names, table)
-    states, controls = split_controls(dataset, config.controls)
-    split = dataset.split_index
+    tag, _, test = load_dataset(ns.dataset[0], config.controls)
     t0 = time.perf_counter()
-    scores = model_mod.evaluate(loaded, states[split:], controls[split:])
+    scores = model_mod.evaluate(loaded, *test)
     eval_ms = (time.perf_counter() - t0) * 1e3
     report = _scored_report("eval", tag, config, loaded, scores)
     report["eval_time_ms"] = eval_ms
@@ -273,14 +271,10 @@ def cmd_bench(ns: argparse.Namespace) -> int:
             })
             models[report["dataset"]] = fitted
             succeeded += 1
-        except KoobaError as exc:
+        except (KoobaError, OSError) as exc:
             log.error("dataset %s failed: %s", spec, exc)
             rows.append({"dataset": spec, "error": str(exc)})
             last_error_code = _exit_code_for(exc)
-        except OSError as exc:
-            log.error("dataset %s failed: %s", spec, exc)
-            rows.append({"dataset": spec, "error": str(exc)})
-            last_error_code = EXIT_IO
     doc = {
         "schema": SCHEMA_VERSION,
         "command": "bench",

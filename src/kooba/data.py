@@ -14,6 +14,7 @@ from .errors import ConfigError, InputError, NumericalError
 log = logging.getLogger(__name__)
 
 _BLOWUP_LIMIT = 1e6
+TRAIN_FRAC = 0.7      # the first 70% of the rows fit the scaler and train the model
 
 
 @dataclass(frozen=True)
@@ -117,7 +118,6 @@ class TimeSeriesDataset:
     outside [0, 1] are not clipped.
     """
     names: list[str]
-    raw: np.ndarray
     features: np.ndarray
     split_index: int
     col_min: np.ndarray
@@ -127,23 +127,21 @@ class TimeSeriesDataset:
         return np.asarray(values) * (self.col_max[col] - self.col_min[col]) + self.col_min[col]
 
 
-def normalize(names: list[str], table: np.ndarray, train_frac: float = 0.7) -> TimeSeriesDataset:
-    """Min-max scale each column using the first train_frac rows as reference."""
+def normalize(names: list[str], table: np.ndarray) -> TimeSeriesDataset:
+    """Min-max scale each column on the train split, the first TRAIN_FRAC of the rows."""
     table = np.asarray(table, dtype=float)
     if table.ndim != 2 or table.shape[0] < 2:
         raise InputError(f"need a 2-d table with at least 2 rows, got shape {table.shape}")
     if len(names) != table.shape[1]:
         raise InputError(f"{len(names)} names for {table.shape[1]} columns")
-    split = int(np.floor(train_frac * table.shape[0]))
-    if split < 1:
-        raise InputError(f"train split is empty at train_frac = {train_frac}")
+    split = int(np.floor(TRAIN_FRAC * table.shape[0]))
     cmin = table[:split].min(axis=0)
     cmax = table[:split].max(axis=0)
     flat = np.nonzero(cmax == cmin)[0]
     if flat.size:
         raise InputError(f"constant column {names[flat[0]]!r} should have been dropped")
     features = (table - cmin) / (cmax - cmin)
-    return TimeSeriesDataset(names=list(names), raw=table, features=features,
+    return TimeSeriesDataset(names=list(names), features=features,
                              split_index=split, col_min=cmin, col_max=cmax)
 
 

@@ -7,13 +7,13 @@ derivative stack, while a rank-one control matrix B = B_base b^T injects
 exogenous inputs.
 
 Convention note: the derivative stack follows the rescaled chain rule
-d/ds p_n = n * p_{n-1}, the falling-product scaling that both the coefficient
-transform (poly_ode_coeffs) and the lift (lift_initial_state) use, not the
-classical Legendre derivative identity. Nothing shows that the two agree with
-the window polynomial: readout of the unstepped lift at s0 = 1 differs from
-legendre.reconstruct(c, 1.0) by about 0.04 rms on [0, 1]-scaled Lorenz test
-windows (0.041 legs, 0.046 legt, feature x). An independent oracle for this
-identity is open work (ROADMAP item 3(a)).
+d/ds p_n = n * p_{n-1}: the coefficient transform (poly_ode_coeffs) and the
+lift (lift_initial_state) scale by the same falling products (_falling). The
+lift is taken at the present edge s = 1, where every p_k(1) is exactly 1.
+Nothing shows that this stack agrees with the window polynomial: readout of
+the unstepped lift differs from legendre.reconstruct(c, 1.0) by about 0.04
+rms on [0, 1]-scaled Lorenz test windows (0.041 legs, 0.046 legt, feature x).
+An independent oracle for this identity is open work (ROADMAP item 3(a)).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from math import isfinite
 import numpy as np
 
 from .errors import ConfigError, DegenerateCoefficientsError, InputError, NumericalError
-from .legendre import legendre_values
+from .legendre import normalization
 
 # double-precision factorials are exact only up to about 32!; beyond that the
 # rescaling products silently lose integer precision
@@ -41,6 +41,14 @@ def check_order(order: int) -> None:
             f"(factorials are exactly representable only up to about {MAX_DIRECT_ORDER}!)")
 
 
+def _falling(n: int) -> list[float]:
+    """Falling products (k+1)(k+2)...n for k = 0..n (1 at k = n), in Python floats."""
+    out = [1.0] * (n + 1)
+    for k in range(n - 1, -1, -1):
+        out[k] = out[k + 1] * (k + 1)
+    return out
+
+
 def poly_ode_coeffs(c) -> np.ndarray:
     """Rescale projection coefficients c_0..c_n into ODE coefficients a_0..a_n.
 
@@ -54,11 +62,7 @@ def poly_ode_coeffs(c) -> np.ndarray:
         raise InputError("coefficient vector must be a non-empty array")
     n = c.shape[-1] - 1
     check_order(n)
-    scale = np.sqrt((2 * np.arange(n + 1) + 1) / 2.0)
-    falling = [1.0] * (n + 1)
-    for k in range(n - 1, -1, -1):
-        falling[k] = falling[k + 1] * (k + 1)      # running product (k+1)...(n)
-    a = (scale * c / falling)[..., ::-1]
+    a = (normalization(n) * c / _falling(n))[..., ::-1]
     if not np.all(np.isfinite(a)):
         raise NumericalError("non-finite ODE coefficients")
     return a
@@ -91,21 +95,16 @@ class LiftedState:
     x1_prev: float
 
 
-def lift_initial_state(order: int, s0: float = 1.0) -> LiftedState:
-    """Lifted state at basis argument s0 (default: the window's present edge).
+def lift_initial_state(order: int) -> LiftedState:
+    """Lifted state at the window's present edge s = 1.
 
     Entry j holds the falling product n * (n-1) * ... * (n-j+2) times
-    p_{n-j+1}(s0), the derivative stack under the same rescaled chain rule the
-    coefficient transform assumes.
+    p_{n-j+1}(1) = 1, the derivative stack under the same rescaled chain rule
+    the coefficient transform assumes.
     """
     if order < 1:
         raise ConfigError("order 0 is unsupported: the state vector would be empty")
-    p = legendre_values(order, s0)
-    x = np.empty(order)
-    prefactor = 1.0
-    for j in range(1, order + 1):
-        x[j - 1] = prefactor * p[order - j + 1]
-        prefactor *= order - j + 1
+    x = np.array(_falling(order)[:0:-1])
     return LiftedState(x=x, x1_prev=float(x[0]))
 
 

@@ -1,9 +1,9 @@
-"""Legendre and normalized-Legendre evaluation on the canonical interval.
+"""Legendre values, their orthonormal scale factors, and reconstruction on [-1, 1].
 
 The basis layer for the whole package: plain Legendre values p_n(s), the
-orthonormal family g_n(s) = sqrt((2n+1)/2) * p_n(s) (unit weight on [-1, 1]),
-and signal reconstruction from a coefficient vector. Everything here is a pure
-function of its arguments.
+scale factors sqrt((2n+1)/2) that turn them into the orthonormal family g_n
+(unit weight on [-1, 1]), and signal reconstruction from a coefficient vector.
+Everything here is a pure function of its arguments.
 """
 
 from __future__ import annotations
@@ -51,12 +51,6 @@ def normalization(order: int) -> np.ndarray:
     """Scale factors sqrt((2n+1)/2) turning p_n into the orthonormal g_n."""
     n = np.arange(order + 1)
     return np.sqrt((2 * n + 1) / 2.0)
-
-
-def normalized_eval(n: int, s):
-    """Orthonormal basis value g_n(s) = sqrt((2n+1)/2) * p_n(s)."""
-    values = np.sqrt((2 * n + 1) / 2.0) * legendre_values(n, s)[n]
-    return float(values) if values.ndim == 0 else values
 
 
 def reconstruct(c, s):

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass, field, asdict
 from typing import NamedTuple
 
@@ -56,6 +57,11 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("order", "controls", "seq_len", "horizon", "epochs", "batch_size",
+                     "stride", "seed"):
+            v = getattr(self, name)
+            if type(v) is not int and not (name == "stride" and v is None):
+                raise ConfigError(f"{name} must be an integer, got {v!r}")
         if self.method not in ("legt", "legs"):
             raise ConfigError(f"method must be 'legt' or 'legs', got {self.method!r}")
         if self.order < 1:
@@ -69,14 +75,12 @@ class ModelConfig:
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError(f"epochs and batch_size must be positive, got "
                               f"({self.epochs}, {self.batch_size})")
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning rate must be positive, got {self.learning_rate}")
         if self.stride is not None and self.stride < 1:
             raise ConfigError(f"stride must be positive, got {self.stride}")
-        for name in ("omega", "dt_basis"):
+        for name in ("learning_rate", "omega", "dt_basis"):
             v = getattr(self, name)
-            if v is not None and v <= 0:
-                raise ConfigError(f"{name} must be positive, got {v}")
+            if v is not None and not 0 < v < math.inf:
+                raise ConfigError(f"{name} must be positive and finite, got {v}")
 
     @property
     def eff_stride(self) -> int:
@@ -199,6 +203,14 @@ def featurize(config: ModelConfig, states: np.ndarray, controls: np.ndarray) -> 
     return Regression(alpha=alpha, G=G, y=y, skipped=skipped)
 
 
+def _usable_windows(config: ModelConfig, states, controls, split: str) -> Regression:
+    """featurize the given rows, raising unless at least one window is usable."""
+    reg = featurize(config, _as_2d(states, "states"), _as_2d(controls, "controls"))
+    if reg.alpha.shape[0] == 0:
+        raise InputError(f"no usable {split} windows ({reg.skipped} skipped)")
+    return reg
+
+
 def window_loss_grad(alpha: np.ndarray, G: np.ndarray, y: np.ndarray,
                      b: np.ndarray) -> tuple[float, np.ndarray]:
     """MSE and its exact gradient in b for affine forecasts alpha + G b.
@@ -225,20 +237,11 @@ def fit(config: ModelConfig, states, controls) -> FlightKoobaModel:
     from zero, with the exact gradient of window_loss_grad's loss; the batch
     losses then follow from the stored b, and the first non-finite one
     aborts. Near zero residual the loss curve is exact only to the rounding
-    of those sums, about 1e-16 of the first epoch's loss.
+    of those sums, about 1e-16 of the first epoch's loss. Rows with no usable
+    window raise InputError, as in evaluate and closed_form_b.
     """
-    states = _as_2d(states, "states")
-    controls = _as_2d(controls, "controls")
-    if states.shape[0] < config.seq_len + config.horizon:
-        raise InputError(f"series of {states.shape[0]} rows is shorter than "
-                         f"seq_len + horizon = {config.seq_len + config.horizon}")
-    residual, G, y, skipped = featurize(config, states, controls)
+    residual, G, y, skipped = _usable_windows(config, states, controls, "training")
     n_win, n_feat, h = residual.shape
-    if n_win == 0:
-        log.warning("no usable training windows (%d skipped)", skipped)
-        return FlightKoobaModel(config=config, b=np.zeros((n_feat, config.controls)),
-                                loss_history=[0.0] * config.epochs,
-                                skipped_windows=skipped)
 
     # per-window normal-equation sums; alpha - y is formed in featurize's own
     # buffer (y is a view of the caller's states)
@@ -288,12 +291,8 @@ def closed_form_b(config: ModelConfig, states, controls) -> ClosedFormResult:
     Solves min_b sum_w ||alpha_w + G_w b - y_w||^2 per feature. Rank-deficient
     designs fall back to the minimum-norm solution and flag the feature.
     """
-    states = _as_2d(states, "states")
-    controls = _as_2d(controls, "controls")
-    reg = featurize(config, states, controls)
-    if reg.alpha.shape[0] == 0:
-        raise InputError("no usable training windows for the least-squares oracle")
-    n_feat = states.shape[1]
+    reg = _usable_windows(config, states, controls, "training")
+    n_feat = reg.y.shape[1]
     b = np.empty((n_feat, config.controls))
     flags: list[bool] = []
     for f in range(n_feat):
@@ -344,14 +343,10 @@ def predict(model: FlightKoobaModel, c_state: hippo.CoefficientState,
 
 def evaluate(model: FlightKoobaModel, states, controls) -> dict:
     """Per-feature and mean MSE of the trained model over the given rows."""
-    states = _as_2d(states, "states")
-    controls = _as_2d(controls, "controls")
-    if states.shape[1] != model.n_features:
+    reg = _usable_windows(model.config, states, controls, "evaluation")
+    if reg.y.shape[1] != model.n_features:
         raise InputError(f"model was trained on {model.n_features} features, "
-                         f"got {states.shape[1]}")
-    reg = featurize(model.config, states, controls)
-    if reg.alpha.shape[0] == 0:
-        raise InputError("no usable evaluation windows")
+                         f"got {reg.y.shape[1]}")
     residual = reg.alpha + (reg.G @ model.b[..., None])[..., 0] - reg.y
     per_feature = np.mean(residual * residual, axis=(0, 2))
     return {
@@ -384,7 +379,7 @@ def load_model(path) -> FlightKoobaModel:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"model file {path} is not valid JSON "
                               f"(expected format version {MODEL_FORMAT}): {exc}") from exc
-    version = doc.get("format")
+    version = doc.get("format") if isinstance(doc, dict) else None
     if version != MODEL_FORMAT:
         raise ConfigError(f"model file {path} has format version {version!r}, "
                           f"this build reads version {MODEL_FORMAT}")
@@ -396,15 +391,17 @@ def load_model(path) -> FlightKoobaModel:
                 raise ConfigError(f"model file {path} sets {key} = {value!r}; that option "
                                   f"was removed and only its old default {default!r} loads")
         config = ModelConfig(**values)
-        try:
-            b = np.asarray(doc["b"], dtype=float)
-        except ValueError as exc:
-            raise ConfigError(f"model file {path}: b is not a numeric matrix: {exc}") from exc
-        if b.ndim != 2:
-            raise ConfigError(f"model file {path}: b must be 2-d")
-        return FlightKoobaModel(config=config, b=b,
-                                loss_history=[float(v) for v in doc["loss_history"]],
-                                skipped_windows=int(doc["skipped_windows"]))
+        b = np.asarray(doc["b"], dtype=float)
+        loss_history = [float(v) for v in doc["loss_history"]]
+        skipped = int(doc["skipped_windows"])
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"model file {path} is missing fields for format "
                           f"version {MODEL_FORMAT}: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"model file {path}: b is not a numeric matrix, or loss_history "
+                          f"or skipped_windows is not numeric: {exc}") from exc
+    if b.ndim != 2 or b.shape[1] != config.controls or not np.all(np.isfinite(b)):
+        raise ConfigError(f"model file {path}: b must be a finite (features, "
+                          f"{config.controls}) matrix, got shape {b.shape}")
+    return FlightKoobaModel(config=config, b=b, loss_history=loss_history,
+                            skipped_windows=skipped)

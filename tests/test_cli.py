@@ -238,6 +238,33 @@ def test_corrupted_model_file(tmp_path, synthetic_csv):
     assert rc == cli.EXIT_CONFIG
 
 
+@pytest.mark.parametrize("text", ["5", "[1, 2]", '{"order": 6.5}', '{"epochs": "50"}',
+                                  '{"dt_basis": NaN}', '{"learning_rate": NaN}',
+                                  '{"method": "legt", "omega": Infinity}'])
+def test_malformed_config_file_exits_2(tmp_path, synthetic_csv, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text, encoding="utf-8")
+    rc = cli.main(["train", "--dataset", f"csv:{synthetic_csv}",
+                   "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == cli.EXIT_CONFIG
+    assert not (tmp_path / "o").exists()
+
+
+def test_train_without_a_usable_window_exits_2(tmp_path, capsys):
+    # the state column is zero over every training history (rows 0-63 of the
+    # 70-row train split), so every training window is skipped
+    t = np.arange(100, dtype=float)
+    state = np.where(t < 70, 0.0, 0.5 + 0.4 * np.sin(t))
+    state[66] = 1.0
+    path = tmp_path / "flat.csv"
+    save_csv(path, ["a", "u"], np.column_stack([state, np.sin(t / 7)]))
+    out = tmp_path / "o"
+    rc = cli.main(["train", "--dataset", f"csv:{path}", "--out", str(out)])
+    assert rc == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == "error: no usable training windows (8 skipped)\n"
+    assert not out.exists()
+
+
 def test_validate_report_catches_problems(tmp_path, synthetic_csv):
     _, out = _train(tmp_path, synthetic_csv, "out")
     report = json.loads((out / "report.json").read_text())

@@ -154,7 +154,7 @@ def test_csv_content_errors(tmp_path):
 
 def test_normalize_uses_train_rows_only():
     table = np.column_stack([np.arange(10.0), np.arange(10.0) * -2.0 + 1.0])
-    ds = normalize(["a", "b"], table, train_frac=0.7)
+    ds = normalize(["a", "b"], table)
     assert ds.split_index == 7
     # train rows span [0, 1]; later rows may fall outside and are not clipped
     assert ds.features[:7, 0].min() == 0.0
@@ -179,8 +179,8 @@ def test_normalize_guards():
         normalize(["a", "b"], np.ones((4, 1)))
     with pytest.raises(InputError):
         normalize(["a"], np.ones((4, 1)))  # constant column
-    with pytest.raises(InputError):
-        normalize(["a"], np.arange(8.0)[:, None], train_frac=0.01)
+    # the train split is the first 70% of the rows, rounded down
+    assert normalize(["a"], np.arange(3.0)[:, None]).split_index == 2
 
 
 def test_split_controls():

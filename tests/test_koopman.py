@@ -117,8 +117,15 @@ def test_lifted_state_values():
     assert state.x1_prev == 1.0
     np.testing.assert_allclose(lift_initial_state(2).x, [1.0, 2.0])
     np.testing.assert_allclose(lift_initial_state(3).x, [1.0, 3.0, 6.0])
-    # at s0 = 0 the stack holds p_2(0) and 2 p_1(0)
-    np.testing.assert_allclose(lift_initial_state(2, s0=0.0).x, [-0.5, 0.0])
+    # entry j is the falling product n (n-1) ... (n-j+1) = perm(n, j): exact
+    # while it fits in 53 bits, and within the rounding of the running product
+    # beyond that
+    for n in range(1, 33):
+        x = lift_initial_state(n).x
+        oracle = [math.perm(n, j) for j in range(n)]
+        exact = [j for j, v in enumerate(oracle) if v < 2**53]
+        np.testing.assert_array_equal(x[exact], [float(oracle[j]) for j in exact])
+        np.testing.assert_allclose(x, [float(v) for v in oracle], rtol=n * 2.0**-52)
     with pytest.raises(ConfigError):
         lift_initial_state(0)
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kooba import (InputError, gauss_legendre_rule, legendre_eval,
-                   legendre_values, normalized_eval, reconstruct)
+                   legendre_values, reconstruct)
 from kooba.legendre import normalization
 
 
@@ -35,8 +35,7 @@ def test_scalar_evaluation():
     assert legendre_eval(0, 0.7) == 1.0
     assert legendre_eval(1, -0.3) == -0.3
     assert legendre_eval(2, 0.5) == pytest.approx(-0.125)
-    assert normalized_eval(0, 0.2) == pytest.approx(np.sqrt(0.5))
-    assert normalized_eval(1, 1.0) == pytest.approx(np.sqrt(1.5))
+    np.testing.assert_allclose(normalization(1), [np.sqrt(0.5), np.sqrt(1.5)])
 
 
 def test_orthonormality_by_quadrature():

@@ -48,6 +48,14 @@ def test_config_validation():
         ModelConfig(stride=0)
 
 
+@pytest.mark.parametrize("name, value", [("order", 6.5), ("seq_len", 8.0), ("epochs", "50"),
+                                         ("batch_size", True), ("stride", 4.0),
+                                         ("seed", None)])
+def test_config_integer_fields_reject_other_types(name, value):
+    with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+        ModelConfig(**{name: value})
+
+
 def test_gradient_matches_central_differences():
     rng = np.random.default_rng(12)
     alpha = rng.normal(size=6)
@@ -122,13 +130,26 @@ def test_fit_skips_degenerate_windows():
 
 
 def test_fit_with_no_usable_windows():
+    # zero histories have no leading coefficient: all 4 windows are skipped
     config = ModelConfig(order=3, seq_len=8, horizon=2, epochs=4)
     states = np.zeros((40, 1))
     controls = np.ones((40, 1))
-    model = fit(config, states, controls)
-    assert model.loss_history == [0.0] * 4
-    assert model.skipped_windows == 4
-    np.testing.assert_array_equal(model.b, 0.0)
+    with pytest.raises(InputError, match=r"no usable training windows \(4 skipped\)"):
+        fit(config, states, controls)
+    # a series too short for one window has none to skip
+    with pytest.raises(InputError, match=r"no usable training windows \(0 skipped\)"):
+        fit(config, states[:9], controls[:9])
+
+
+def test_evaluate_and_oracle_with_no_usable_windows():
+    config = ModelConfig(order=3, seq_len=8, horizon=2)
+    states = np.zeros((40, 1))
+    controls = np.ones((40, 1))
+    with pytest.raises(InputError, match=r"no usable training windows \(4 skipped\)"):
+        closed_form_b(config, states, controls)
+    model = FlightKoobaModel(config=config, b=np.zeros((1, 1)))
+    with pytest.raises(InputError, match=r"no usable evaluation windows \(4 skipped\)"):
+        evaluate(model, states, controls)
 
 
 def test_fit_input_checks():
@@ -275,6 +296,22 @@ def test_ragged_weights_are_rejected(tmp_path):
     path.write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(ConfigError, match=f"{path}: b is not a numeric matrix"):
         load_model(path)
+    rc = cli.main(["eval", "--model", str(path), "--dataset", "lorenz",
+                   "--out", str(tmp_path / "ev")])
+    assert rc == cli.EXIT_CONFIG
+    assert not (tmp_path / "ev").exists()
+
+
+@pytest.mark.parametrize("key, value", [("loss_history", [0.3, "fast"]),
+                                        ("skipped_windows", "many"),
+                                        ("b", [[0.1, 0.2], [0.3, 0.4]]),
+                                        ("b", [[float("nan")], [0.1]])],
+                         ids=["loss-text", "skipped-text", "b-columns", "b-nan"])
+def test_malformed_model_file_exits_2(tmp_path, key, value):
+    doc = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    doc[key] = value
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
     rc = cli.main(["eval", "--model", str(path), "--dataset", "lorenz",
                    "--out", str(tmp_path / "ev")])
     assert rc == cli.EXIT_CONFIG
