@@ -4,7 +4,11 @@ The coefficient vector of a projected window is rescaled into the
 coefficients a_0..a_n of a scalar linear ODE; that ODE's companion matrix A
 propagates a lifted state holding the window polynomial's value and
 derivative stack, while a rank-one control matrix B = B_base b^T injects
-exogenous inputs.
+exogenous inputs. The bilinear discretization of that system is built in
+closed form (companion_discrete): I - dt/2 A is unit upper-bidiagonal but
+for its last row, so its inverse is a fixed upper-triangular matrix of
+powers of dt/2 plus one outer product of that row's Horner sums: nothing
+here calls a linear solver.
 
 Convention note: the derivative stack follows the rescaled chain rule
 d/ds p_n = n * p_{n-1}: the coefficient transform (poly_ode_coeffs) and the
@@ -19,6 +23,7 @@ An independent oracle for this identity is open work (ROADMAP item 3(a)).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import isfinite
 
 import numpy as np
@@ -30,7 +35,9 @@ from .legendre import normalization
 # rescaling products silently lose integer precision
 MAX_DIRECT_ORDER = 32
 DEGENERATE_TOL = 1e-12
-SINGULAR_TOL = 1e-14       # smallest over largest pivot of the bilinear solve
+# smallest over largest pivot of the partially pivoted factorization of
+# I - dt/2 A, which companion_discrete reads off its Horner sums
+SINGULAR_TOL = 1e-14
 
 
 def check_order(order: int) -> None:
@@ -121,46 +128,78 @@ class KoopmanSystem:
     w: np.ndarray
 
 
+@lru_cache(maxsize=16)
+def _bilinear_base(n: int, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """2T - I and p of the closed form (I - dt/2 A)^-1 = T + p s^T / D_{n-1}.
+
+    With h = dt/2, T_ij = h^(j-i) for i <= j <= n-2 (0 elsewhere) and
+    p_i = h^(n-1-i): both depend on (n, dt) alone. The arrays are shared by
+    every caller, so they are read-only.
+    """
+    powers = (dt / 2.0) ** np.arange(n)
+    idx = np.arange(n)
+    T = np.triu(powers[np.abs(idx - idx[:, None])])
+    T[:, n - 1] = 0.0
+    base = 2.0 * T - np.eye(n)
+    p = powers[::-1].copy()
+    base.flags.writeable = p.flags.writeable = False
+    return base, p
+
+
 def companion_discrete(a, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Control-independent discrete pieces (Abar, w, ok) of companion systems.
 
     Abar = (I - dt/2 A)^-1 (I + dt/2 A) and w = dt (I - dt/2 A)^-1 B_base, one
-    per entry of a's leading axes, from one stacked solve. ok is False where
-    the system is undefined, and Abar and w are zero there: a vanishing
-    leading coefficient, or a singular solve, whose smallest pivot in the
-    partially pivoted factorization of I - dt/2 A is below SINGULAR_TOL times
-    the largest (or 1). This is the one place that decides it; require_defined
-    turns a false ok of a single system into its error.
+    per entry of a's leading axes, in closed form: no matrix is factorized.
+    I - dt/2 A is unit upper-bidiagonal (-h above the diagonal, h = dt/2) but
+    for its last row r = e_{n-1} + h a_{0..n-1} / a_n. With the Horner sums
+    D_0 = r_0 and D_k = r_k + h D_{k-1},
+
+        (I - hA)^-1 = T + p s^T / D_{n-1},   s = (-D_0, ..., -D_{n-2}, 1),
+
+    for T and p from _bilinear_base. So Abar = 2 (I - hA)^-1 - I and
+    w = dt p / (D_{n-1} a_n). ok is False where the system is undefined, and
+    Abar and w are zero there: a vanishing leading coefficient, or a singular
+    I - hA, whose smallest pivot in the partially pivoted factorization is
+    below SINGULAR_TOL times the largest (or 1). This is the one place that
+    decides it; require_defined turns a false ok of a single system into its
+    error.
     """
     if dt <= 0:
         raise ConfigError(f"step size must be positive, got {dt}")
     a = np.asarray(a, dtype=float)
     n = a.shape[-1] - 1
+    if n == 0:
+        raise ConfigError("order 0 is unsupported: the state vector would be empty")
     ok = np.abs(a[..., n]) >= DEGENERATE_TOL
-    A, b_base = build_companion(np.where(ok[..., None], a, 1.0))
+    a_n = np.where(ok, a[..., n], 1.0)
     half = dt / 2.0
-    eye = np.eye(n)
-    lhs = eye - half * A
-    # I - dt/2 A is unit upper-bidiagonal but for its last row r. Elimination
-    # keeps one dense row, and a row swap only rescales it by -1/pivot, so its
-    # entry k is the Horner sum D_k = r_k + dt/2 D_{k-1} over the running
+    # Elimination on I - hA keeps one dense row, and a row swap only rescales
+    # it by -1/pivot, so its entry k is the Horner sum D_k over the running
     # record R_k = max(1, |D_0|, ..., |D_{k-1}|); the dense row wins pivot k
     # when |D_k| > R_k, so pivot k has magnitude max(|D_k| / R_k, 1).
-    horner = lhs[..., n - 1, :].T.copy()      # entry index first
+    horner = (half * (a[..., :n] / a_n[..., None])).T.copy()   # entry index first
+    horner[n - 1] += 1.0
     for k in range(1, n):
         horner[k] += half * horner[k - 1]
-    size = np.abs(horner.T)
+    D = horner.T
+    size = np.abs(D)
     record = np.maximum.accumulate(
         np.concatenate([np.ones(size.shape[:-1] + (1,)), size[..., :-1]], axis=-1), axis=-1)
     pivots = size / record
     pivots[..., :-1] = np.maximum(pivots[..., :-1], 1.0)
     ok &= pivots.min(axis=-1) >= SINGULAR_TOL * np.maximum(pivots.max(axis=-1), 1.0)
 
-    rhs = np.concatenate([eye + half * A, b_base[..., None]], axis=-1)
-    lhs[~ok] = eye
-    rhs[~ok] = 0.0
-    sol = np.linalg.solve(lhs, rhs)
-    return sol[..., :n], dt * sol[..., n], ok
+    base, p = _bilinear_base(n, float(dt))
+    last = np.where(ok, D[..., n - 1], 1.0)     # any nonzero value where undefined
+    scale = 2.0 / last
+    s = D * -scale[..., None]                   # s of the closed form, times 2 / D_{n-1}
+    s[..., n - 1] = scale
+    abar = base + p[:, None] * s[..., None, :]
+    abar[~ok] = 0.0
+    w = (dt / (last * a_n))[..., None] * p
+    w[~ok] = 0.0
+    return abar, w, ok
 
 
 def require_defined(a, ok, dt: float) -> None:

@@ -177,7 +177,7 @@ def featurize(config: ModelConfig, states: np.ndarray, controls: np.ndarray) -> 
     """Affine pieces of every window as arrays, CHUNK_ROWS rows at a time.
 
     A window is skipped when any feature's companion system is undefined (a
-    vanishing leading coefficient or a singular bilinear solve).
+    vanishing leading coefficient or a singular I - dt/2 A).
     """
     if controls.shape[1] != config.controls:
         raise InputError(f"control matrix has {controls.shape[1]} columns, "

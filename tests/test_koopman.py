@@ -1,13 +1,19 @@
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.linalg import lu_factor, lu_solve
 
 from kooba import (ConfigError, DegenerateCoefficientsError, InputError,
                    LiftedState, NumericalError, build_companion, build_system,
                    companion_discrete, lift_initial_state, poly_ode_coeffs,
                    propagate, readout, require_defined)
+from kooba.data import gen_lorenz, normalize, windows
+from kooba.hippo import block_step, build_kernel, init_state
 from kooba.koopman import check_order
+from kooba.model import ModelConfig, build_basis
 
 
 def _transform_oracle(c):
@@ -109,6 +115,124 @@ def test_companion_guards():
         build_companion(np.array([1.0]))
     with pytest.raises(DegenerateCoefficientsError):
         build_companion(np.array([1.0, 0.0]))
+
+
+def _exact_bilinear(a, dt):
+    """Abar and w of one system by exact Gauss-Jordan on [I - hA | I + hA, dt B_base]."""
+    n = len(a) - 1
+    h = Fraction(dt) / 2
+    a = [Fraction(float(v)) for v in a]
+    rows = []
+    for i in range(n):
+        row = [Fraction(0)] * (2 * n + 1)
+        row[i] = row[n + i] = Fraction(1)
+        if i < n - 1:
+            row[i + 1], row[n + i + 1] = -h, h
+        rows.append(row)
+    for j in range(n):
+        rows[n - 1][j] += h * a[j] / a[n]
+        rows[n - 1][n + j] -= h * a[j] / a[n]
+    rows[n - 1][2 * n] = Fraction(dt) / a[n]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if rows[r][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rows[col] = [v / rows[col][col] for v in rows[col]]
+        for r in range(n):
+            if r != col and rows[r][col] != 0:
+                f = rows[r][col]
+                rows[r] = [v - f * u for v, u in zip(rows[r], rows[col])]
+    out = np.array([[float(v) for v in row[n:]] for row in rows])
+    return out[:, :n], out[:, n]
+
+
+@pytest.fixture(scope="module")
+def lorenz_table():
+    return normalize(["x", "y", "z"], gen_lorenz()).features[:400]
+
+
+def _lorenz_coeffs(table, method, order):
+    """ODE coefficients (W, 3, order+1) of non-overlapping windows of table."""
+    config = ModelConfig(method=method, order=order)
+    hist, _, _ = windows(table, np.zeros((len(table), 1)), 8, 1, 8)
+    kernel = build_kernel(build_basis(config), 8)
+    return poly_ode_coeffs(block_step(init_state(order), hist, kernel).c)
+
+
+@pytest.mark.parametrize("method", ["legs", "legt"])
+def test_discretization_matches_an_exact_inverse(method, lorenz_table):
+    # the closed form against exact rational elimination, on projected Lorenz
+    # windows: at orders 12 and 13 the guard rejects some or all of them, and
+    # those must come back as zeros
+    dt = ModelConfig().eff_dt_system
+    for order in range(1, 14):
+        a = _lorenz_coeffs(lorenz_table, method, order)
+        abar, w, ok = companion_discrete(a, dt)
+        assert np.all(abar[~ok] == 0.0) and np.all(w[~ok] == 0.0)
+        for i in np.argwhere(ok)[::37][:2]:
+            abar_ex, w_ex = _exact_bilinear(a[tuple(i)], dt)
+            assert np.max(np.abs(abar[tuple(i)] - abar_ex)) <= 1e-14 * np.max(np.abs(abar_ex))
+            assert np.max(np.abs(w[tuple(i)] - w_ex)) <= 1e-14 * np.max(np.abs(w_ex))
+
+
+def test_discretization_matches_lapack():
+    # lu_solve of build_companion's I - hA on random systems whose coefficients
+    # span 10^-3..10^3: two backward-stable answers agree to the conditioning
+    # of I - hA, so the bound is 4 cond_1 eps of the largest entry (or 1, the
+    # identity that Abar = 2 (I - hA)^-1 - I subtracts)
+    rng = np.random.default_rng(10)
+    eps = np.finfo(float).eps
+    for n in range(1, 14):
+        for dt in (0.01, 0.2, 0.25, 2.0 / 3.0):
+            a = rng.choice([-1.0, 1.0], size=(48, n + 1)) * 10.0 ** rng.uniform(-3, 3, (48, n + 1))
+            abar, w, ok = companion_discrete(a, dt)
+            assert ok.all()
+            A, b_base = build_companion(a)
+            lhs = np.eye(n) - dt / 2.0 * A
+            rhs = np.concatenate([np.eye(n) + dt / 2.0 * A, dt * b_base[..., None]], axis=-1)
+            cond = np.linalg.cond(lhs, 1)
+            for i in range(len(a)):
+                ref = lu_solve(lu_factor(lhs[i]), rhs[i])
+                bound = 4.0 * cond[i] * eps
+                assert (np.max(np.abs(abar[i] - ref[:, :n]))
+                        <= bound * max(np.max(np.abs(ref[:, :n])), 1.0)), (n, dt, i)
+                assert np.max(np.abs(w[i] - ref[:, n])) <= bound * np.max(np.abs(ref[:, n]))
+
+
+def test_discretization_of_a_batch_is_bit_identical(lorenz_table):
+    # featurize discretizes whole chunks and predict one system: both must
+    # give the same numbers and the same validity flags
+    dt = ModelConfig().eff_dt_system
+    for method, order in (("legs", 1), ("legs", 6), ("legt", 9), ("legt", 12), ("legs", 13)):
+        a = _lorenz_coeffs(lorenz_table, method, order)[:20]
+        abar, w, ok = companion_discrete(a, dt)
+        for i in np.ndindex(ok.shape):
+            one = companion_discrete(a[i], dt)
+            np.testing.assert_array_equal(one[0], abar[i])
+            np.testing.assert_array_equal(one[1], w[i])
+            assert one[2] == ok[i]
+
+
+def test_discretization_guards():
+    with pytest.raises(ConfigError, match="order 0"):
+        companion_discrete(np.ones((3, 1)), 0.25)
+    # at dt = 0.5, a = (0, -4, 1) makes I - hA exactly singular:
+    # D_1 = 1 + h a_1 + h^2 a_0 = 1 - 1 = 0
+    a = np.array([[1.0, 3.0, 1.0],      # defined
+                  [1.0, 2.0, 0.0],      # vanishing leading coefficient
+                  [0.0, -4.0, 1.0],     # singular I - hA
+                  [2.0, 0.5, 1.0],      # defined
+                  [0.0, 0.0, 0.0]])     # all zero
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        abar, w, ok = companion_discrete(a, 0.5)
+    np.testing.assert_array_equal(ok, [True, False, False, True, False])
+    assert np.all(abar[~ok] == 0.0) and np.all(w[~ok] == 0.0)
+    for i in (0, 3):
+        abar_ex, w_ex = _exact_bilinear(a[i], 0.5)
+        np.testing.assert_allclose(abar[i], abar_ex, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(w[i], w_ex, rtol=0, atol=1e-15)
+    with pytest.raises(NumericalError, match="bilinear solve singular at dt = 0.5"):
+        build_system(a[2], [1.0], 0.5)
 
 
 def test_lifted_state_values():
