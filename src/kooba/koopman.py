@@ -14,10 +14,14 @@ Convention note: the derivative stack follows the rescaled chain rule
 d/ds p_n = n * p_{n-1}: the coefficient transform (poly_ode_coeffs) and the
 lift (lift_initial_state) scale by the same falling products (_falling). The
 lift is taken at the present edge s = 1, where every p_k(1) is exactly 1.
-Nothing shows that this stack agrees with the window polynomial: readout of
-the unstepped lift differs from legendre.reconstruct(c, 1.0) by about 0.04
-rms on [0, 1]-scaled Lorenz test windows (0.041 legs, 0.046 legt, feature x).
-An independent oracle for this identity is open work (ROADMAP item 3(a)).
+This stack is not the window polynomial's. With c^_k = sqrt((2k+1)/2) c_k,
+readout of the unstepped lift is exactly
+
+    c^_n + sum_{k<n} c^_k / (k+1),
+
+while the window's value at the present edge, legendre.reconstruct(c, 1.0),
+is sum_k c^_k: the two share the c^_0 and c^_n terms and weight every other
+one by 1/(k+1) instead of 1.
 """
 
 from __future__ import annotations

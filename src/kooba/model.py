@@ -13,9 +13,11 @@ featurize builds them for all windows at once, and predict uses the same
 rollout. Each window's squared error is then a quadratic in b, so fit reduces
 every window to its normal-equation sums (G^T G, G^T (alpha - y) and
 ||alpha - y||^2) and runs minibatch gradient descent on those alone, with the
-exact gradient. window_loss_grad states the same loss and gradient on the
-affine pieces and is the optimizer's reference; closed_form_b solves the
-same regression directly and serves as the oracle for where it converges.
+exact gradient. Each minibatch step is an affine map of b, and a prefix scan
+composes an epoch's steps as arrays. window_loss_grad states the same loss
+and gradient on the affine pieces and is the optimizer's reference;
+closed_form_b solves the same regression directly and serves as the oracle
+for where it converges.
 """
 
 from __future__ import annotations
@@ -232,45 +234,69 @@ def fit(config: ModelConfig, states, controls) -> FlightKoobaModel:
 
     Windows are featurized once (the companion system is frozen per window)
     and each is reduced to its normal-equation sums G^T G, G^T (alpha - y)
-    and ||alpha - y||^2. Each epoch shuffles the windows with the seeded
-    generator, sums those per minibatch of batch_size windows and steps b,
-    from zero, with the exact gradient of window_loss_grad's loss; the batch
-    losses then follow from the stored b, and the first non-finite one
-    aborts. Near zero residual the loss curve is exact only to the rounding
-    of those sums, about 1e-16 of the first epoch's loss. Rows with no usable
-    window raise InputError, as in evaluate and closed_form_b.
+    and ||alpha - y||^2, packed as one row of a table. Each epoch shuffles the
+    windows with the seeded generator and sums the table per minibatch of
+    batch_size windows. Batch k then steps b, from zero, with the exact
+    gradient of window_loss_grad's loss: an affine map b -> b A_k + d_k on
+    each feature's row b. A prefix scan composes the epoch's maps in
+    ceil(log2 batches) array steps, so the b every batch saw is known at once
+    and the batch losses follow from it; the first non-finite one aborts.
+    Near zero residual the loss curve is exact only to the rounding of those
+    sums and products, about 1e-16 of the first epoch's loss. Rows with no
+    usable window raise InputError, as in evaluate and closed_form_b.
+
+    The scan multiplies composed maps where a step-by-step loop multiplies
+    b, so there is one case where it aborts and such a loop does not: every
+    G^T (alpha - y) is exactly zero, so every d_k is zero and the loop keeps
+    b = 0, and the step size is so large that the composed A_k overflow. The
+    scan then forms 0 * inf.
     """
     residual, G, y, skipped = _usable_windows(config, states, controls, "training")
     n_win, n_feat, h = residual.shape
+    m = config.controls
 
-    # per-window normal-equation sums; alpha - y is formed in featurize's own
-    # buffer (y is a view of the caller's states)
+    # per-window normal-equation sums as column blocks of one table, written
+    # in place; alpha - y is formed in featurize's own buffer (y is a view of
+    # the caller's states)
     np.subtract(residual, y, out=residual)
-    gram = G.swapaxes(-1, -2) @ G                               # (W, F, m, m)
-    cross = residual[..., None, :] @ G                          # (W, F, 1, m)
-    sq = np.einsum("wfh,wfh->w", residual, residual)           # (W,)
+    n_gram = n_feat * m * m
+    table = np.empty((n_win, n_gram + n_feat * m + 1))
+    np.matmul(G.swapaxes(-1, -2), G, out=table[:, :n_gram].reshape(n_win, n_feat, m, m))
+    np.matmul(residual[..., None, :], G,
+              out=table[:, n_gram:-1].reshape(n_win, n_feat, 1, m))
+    np.einsum("wfh,wfh->w", residual, residual, out=table[:, -1])
     del residual, G, y
 
-    # b_{k+1} = b_k - lr * (2 / (n_k h)) * (cross_k + gram_k b_k), b as (F, 1, m) rows
+    # batch k: b_{k+1} = b_k - lr * (2 / (n_k h)) * (cross_k + b_k gram_k)
+    #                  = b_k A_k + d_k, with b as (F, 1, m) rows
     starts = np.arange(0, n_win, config.batch_size)
-    step = 2.0 * config.learning_rate / (np.diff(starts, append=n_win) * h)
+    step = (2.0 * config.learning_rate / (np.diff(starts, append=n_win) * h)).reshape(-1, 1, 1, 1)
+    eye = np.eye(m)
     # b before each batch of an epoch, and after its last batch in the last row
-    bs = np.zeros((starts.size + 1, n_feat, 1, config.controls))
+    bs = np.zeros((starts.size + 1, n_feat, 1, m))
     rng = np.random.default_rng(config.seed)
     history: list[float] = []
     for epoch in range(config.epochs):
-        order = rng.permutation(n_win)
-        gram_b = np.add.reduceat(gram[order], starts)
-        cross_b = np.add.reduceat(cross[order], starts)
+        sums = np.add.reduceat(table[rng.permutation(n_win)], starts)
+        gram_b = sums[:, :n_gram].reshape(-1, n_feat, m, m)
+        cross_b = sums[:, n_gram:-1].reshape(-1, n_feat, 1, m)
         bs[0] = bs[-1]
         # a diverging b overflows mid-epoch; the check below names the first bad batch
         with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(starts.size):
-                bs[k + 1] = bs[k] - step[k] * (cross_b[k] + bs[k] @ gram_b[k])
+            A = eye - step * gram_b
+            d = -step * cross_b
+            # Hillis-Steele: after the pass with offset off, entry k composes
+            # maps max(0, k - 2 off + 1)..k, the earlier map applied first
+            off = 1
+            while off < starts.size:
+                d[off:] = d[:-off] @ A[off:] + d[off:]
+                A[off:] = A[:-off] @ A[off:]
+                off *= 2
+            bs[1:] = bs[0] @ A + d
             # each batch's sum of ||alpha + G b - y||^2 at the b it saw
             seen = bs[:-1]
             quad = seen @ (2.0 * cross_b + seen @ gram_b).swapaxes(-1, -2)
-            total = np.add.reduceat(sq[order], starts) + quad.sum(axis=(1, 2, 3))
+            total = sums[:, -1] + quad.sum(axis=(1, 2, 3))
         bad = np.flatnonzero(~np.isfinite(total))
         if bad.size:
             raise TrainingAbortedError(f"non-finite loss at epoch {epoch}, window batch "

@@ -4,15 +4,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import expm, lu_factor, lu_solve
 
 from kooba import (ConfigError, DegenerateCoefficientsError, InputError,
-                   LiftedState, NumericalError, build_companion, build_system,
+                   KoopmanSystem, LiftedState, NumericalError, build_companion, build_system,
                    companion_discrete, lift_initial_state, poly_ode_coeffs,
                    propagate, readout, require_defined)
 from kooba.data import gen_lorenz, normalize, windows
 from kooba.hippo import block_step, build_kernel, init_state
-from kooba.koopman import check_order
+from kooba.legendre import reconstruct
+from kooba.koopman import DEGENERATE_TOL, check_order
 from kooba.model import ModelConfig, build_basis
 
 
@@ -300,19 +301,6 @@ def test_readout_uses_retained_first_entry():
         readout(sys, LiftedState(x=np.array([1.0]), x1_prev=0.0))
 
 
-def _rk4_lti(A, b_vec, u, z0, dt, steps):
-    z = np.array(z0, dtype=float)
-    out = np.empty((steps, z.size))
-    for i in range(steps):
-        k1 = A @ z + b_vec * u
-        k2 = A @ (z + dt / 2.0 * k1) + b_vec * u
-        k3 = A @ (z + dt / 2.0 * k2) + b_vec * u
-        k4 = A @ (z + dt * k3) + b_vec * u
-        z = z + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out[i] = z
-    return out
-
-
 def test_damped_oscillator_step_response():
     # unit mass, damping 0.5, stiffness 2, unit step input, from rest
     a = np.array([2.0, 0.5, 1.0])
@@ -322,7 +310,67 @@ def test_damped_oscillator_step_response():
     for i in range(200):
         state = propagate(sys, state, [1.0])
         pos[i] = state.x[0]
+    # exact step response: the input is a third state with zero derivative,
+    # so z(t) is the last column of expm(t [[A, B_base], [0, 0]])
     A, b_base = build_companion(a)
-    ref = _rk4_lti(A, b_base, 1.0, np.zeros(2), 1e-4, 20000)[99::100, 0]
+    aug = np.zeros((3, 3))
+    aug[:2, :2], aug[:2, 2] = A, b_base
+    times = 0.01 * np.arange(1, 201)
+    ref = expm(times[:, None, None] * aug)[:, 0, 2]
     rel = np.linalg.norm(pos - ref) / np.linalg.norm(ref)
     assert rel < 1e-3
+
+
+def test_readout_of_the_lift_weights_the_reconstruction():
+    # with c_hat_k = sqrt((2k+1)/2) c_k, readout of the unstepped lift is
+    # c_hat_n + sum_{k<n} c_hat_k / (k+1), while the window polynomial at the
+    # present edge is reconstruct(c, 1) = sum_k c_hat_k. readout reads only the
+    # coefficients, so the system needs no discretization
+    rng = np.random.default_rng(14)
+    for n in range(1, 14):
+        for _ in range(4):
+            c = rng.normal(size=n + 1)
+            c_hat = np.sqrt((2 * np.arange(n + 1) + 1) / 2.0) * c
+            scale = np.sum(np.abs(c_hat))
+            assert abs(reconstruct(c, 1.0) - c_hat.sum()) <= 1e-14 * scale
+            sys = KoopmanSystem(a=poly_ode_coeffs(c), b=np.ones(1), Abar=np.eye(n),
+                                w=np.zeros(n))
+            lifted = readout(sys, lift_initial_state(n))
+            weighted = c_hat[n] + np.sum(c_hat[:n] / np.arange(1, n + 1))
+            assert abs(lifted - weighted) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("method", ["legs", "legt"])
+def test_companion_eigenvalues_are_the_ode_roots(method, lorenz_table):
+    # the spectrum of A against np.roots of sum_k a_k s^k on projected Lorenz
+    # windows; the roots are simple, so each side lies next to the other
+    for order in range(1, 14):
+        a = _lorenz_coeffs(lorenz_table, method, order).reshape(-1, order + 1)[::5]
+        a = a[np.abs(a[:, -1]) >= DEGENERATE_TOL]
+        A, _ = build_companion(a)
+        for eig, coeffs in zip(np.linalg.eigvals(A), a):
+            roots = np.roots(coeffs[::-1])
+            gap = np.abs(eig[:, None] - roots)
+            bound = 1e-12 * max(1.0, np.max(np.abs(roots)))
+            assert gap.min(axis=1).max() <= bound and gap.min(axis=0).max() <= bound, order
+
+
+@pytest.mark.parametrize("method", ["legs", "legt"])
+def test_bilinear_rollout_converges_to_the_exponential(method, lorenz_table):
+    # control free, Abar^t after t steps of dt approximates expm(A t dt) with
+    # an O(dt^2) error over a fixed span: halving dt divides it by 4
+    span = ModelConfig().eff_dt_system
+    for order in range(1, 14):
+        a = _lorenz_coeffs(lorenz_table, method, order).reshape(-1, order + 1)[::29]
+        steps = (4, 8, 16)
+        # systems the pivot guard accepts at every step size
+        a = a[np.all([companion_discrete(a, span / t)[2] for t in steps], axis=0)]
+        A, _ = build_companion(a)
+        exact = expm(A * span)
+        errors = []
+        for t in steps:
+            rollout = np.linalg.matrix_power(companion_discrete(a, span / t)[0], t)
+            errors.append(np.max(np.abs(rollout - exact), axis=(1, 2))
+                          / np.max(np.abs(exact), axis=(1, 2)))
+        ratios = np.array(errors[:-1]) / np.array(errors[1:])
+        assert np.all((ratios > 3.9) & (ratios < 4.1)), (order, ratios)

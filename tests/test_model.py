@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -430,16 +431,28 @@ def _reference_sgd(config, alpha, G, y):
     return b, np.array(history)
 
 
-def test_fit_matches_per_window_descent():
-    config = ModelConfig(order=4, horizon=2, stride=4, controls=2, epochs=6,
-                         batch_size=7, learning_rate=0.05, seed=5)
-    states, ctrl = _smooth_series(300, 2, 2, seed=3)
-    alpha, G, y = _reference_pieces(config, states, ctrl)
+@pytest.fixture(scope="module", params=[1, 2])
+def descent_series(request):
+    """73 windows of a smooth series and their step-API pieces, per control count."""
+    config = ModelConfig(order=4, horizon=2, stride=4, controls=request.param)
+    states, ctrl = _smooth_series(300, 2, request.param, seed=3)
+    return config, states, ctrl, _reference_pieces(config, states, ctrl)
+
+
+@pytest.mark.parametrize("batch_size", [7, 100, 1], ids=["ragged", "one-batch", "one-window"])
+def test_fit_matches_per_window_descent(batch_size, descent_series):
+    # 73 windows: batches of 7 leave a last batch of 3, 100 makes one batch
+    # (a scan with no levels), 1 makes 73 batches (seven levels); with two
+    # controls the composed maps are 2x2 matrices, whose order matters
+    base, states, ctrl, (alpha, G, y) = descent_series
+    config = dataclasses.replace(base, epochs=6, batch_size=batch_size, learning_rate=0.05,
+                                 seed=5)
+    assert alpha.shape[0] == 73
     b_ref, loss_ref = _reference_sgd(config, alpha, G, y)
     model = fit(config, states, ctrl)
     assert _rel(model.b, b_ref) < 1e-12
     assert _rel(np.array(model.loss_history), loss_ref) < 1e-12
-    assert model.b.shape == (2, 2)
+    assert model.b.shape == (2, config.controls)
 
 
 def test_fit_loss_curve_meets_the_rounding_floor(realizable_fixture):
@@ -522,3 +535,34 @@ def test_fit_aborts_at_the_first_non_finite_batch_loss(lorenz_train):
     assert str(info.value) == "non-finite loss at epoch 9, window batch starting at index 960"
     np.testing.assert_array_equal(states, kept[0])
     np.testing.assert_array_equal(controls, kept[1])
+
+
+def _first_abort(config, alpha, G, y):
+    """fit's abort message from a plain loop, one window_loss_grad call per batch."""
+    n_win = alpha.shape[0]
+    b = np.zeros((alpha.shape[1], config.controls))
+    rng = np.random.default_rng(config.seed)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.epochs):
+            order = rng.permutation(n_win)
+            for lo in range(0, n_win, config.batch_size):
+                batch = order[lo:lo + config.batch_size]
+                loss, grad = window_loss_grad(alpha[batch], G[batch], y[batch], b)
+                if not np.isfinite(loss):
+                    return f"non-finite loss at epoch {epoch}, window batch starting at index {lo}"
+                b = b - config.learning_rate * grad
+    return None
+
+
+@pytest.mark.parametrize("config", [ModelConfig(horizon=8, learning_rate=1e4),
+                                    ModelConfig(horizon=8, learning_rate=0.9, batch_size=1)],
+                         ids=["epoch-0", "one-window"])
+def test_fit_aborts_where_a_sequential_loop_does(config, lorenz_train):
+    # the scan knows every batch's b at once; the first non-finite batch loss
+    # it names must be the one a step-by-step loop meets first
+    states, controls = lorenz_train
+    expected = _first_abort(config, *featurize(config, states, controls)[:3])
+    assert expected is not None
+    with pytest.raises(TrainingAbortedError) as info:
+        fit(config, states, controls)
+    assert str(info.value) == expected
