@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import logging
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,24 +43,27 @@ def gen_lorenz(params: LorenzParams = LorenzParams()) -> np.ndarray:
     """
     sigma, rho, beta, dt = params.sigma, params.rho, params.beta, params.dt
     half, sixth = dt / 2.0, dt / 6.0
-
-    def deriv(x, y, z):
-        return sigma * (y - x), x * (rho - z) - y, x * y - beta * z
-
-    out = np.empty((params.steps, 3))
+    rows = array("d")
     x, y, z = (float(v) for v in params.x0)
-    for i in range(params.steps):
-        k1x, k1y, k1z = deriv(x, y, z)
-        k2x, k2y, k2z = deriv(x + half * k1x, y + half * k1y, z + half * k1z)
-        k3x, k3y, k3z = deriv(x + half * k2x, y + half * k2y, z + half * k2z)
-        k4x, k4y, k4z = deriv(x + dt * k3x, y + dt * k3y, z + dt * k3z)
+    for _ in range(params.steps):
+        k1x, k1y, k1z = sigma * (y - x), x * (rho - z) - y, x * y - beta * z
+        x2, y2, z2 = x + half * k1x, y + half * k1y, z + half * k1z
+        k2x, k2y, k2z = sigma * (y2 - x2), x2 * (rho - z2) - y2, x2 * y2 - beta * z2
+        x3, y3, z3 = x + half * k2x, y + half * k2y, z + half * k2z
+        k3x, k3y, k3z = sigma * (y3 - x3), x3 * (rho - z3) - y3, x3 * y3 - beta * z3
+        x4, y4, z4 = x + dt * k3x, y + dt * k3y, z + dt * k3z
+        k4x, k4y, k4z = sigma * (y4 - x4), x4 * (rho - z4) - y4, x4 * y4 - beta * z4
         x = x + sixth * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
         y = y + sixth * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
         z = z + sixth * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
-        # written so that NaN fails the test too
-        if not (abs(x) <= _BLOWUP_LIMIT and abs(y) <= _BLOWUP_LIMIT and abs(z) <= _BLOWUP_LIMIT):
-            raise NumericalError(f"trajectory diverged at step {i}")
-        out[i] = x, y, z
+        rows.extend((x, y, z))
+    out = np.frombuffer(rows).reshape(-1, 3)
+    # Python float + - * never raise on overflow, so the first row that fails
+    # this test (written so that NaN fails it too) is the step that left the
+    # bounded region
+    bad = np.flatnonzero(~(np.abs(out) <= _BLOWUP_LIMIT).all(axis=1))
+    if bad.size:
+        raise NumericalError(f"trajectory diverged at step {bad[0]}")
     return out
 
 

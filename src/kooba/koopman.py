@@ -60,6 +60,17 @@ def _falling(n: int) -> list[float]:
     return out
 
 
+@lru_cache(maxsize=16)
+def _ode_scale(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """normalization(n) and _falling(n) as arrays, the factors of poly_ode_coeffs.
+
+    Shared by every caller, so read-only.
+    """
+    norm, fall = normalization(n), np.array(_falling(n))
+    norm.flags.writeable = fall.flags.writeable = False
+    return norm, fall
+
+
 def poly_ode_coeffs(c) -> np.ndarray:
     """Rescale projection coefficients c_0..c_n into ODE coefficients a_0..a_n.
 
@@ -73,7 +84,8 @@ def poly_ode_coeffs(c) -> np.ndarray:
         raise InputError("coefficient vector must be a non-empty array")
     n = c.shape[-1] - 1
     check_order(n)
-    a = (normalization(n) * c / _falling(n))[..., ::-1]
+    norm, fall = _ode_scale(n)
+    a = (norm * c / fall)[..., ::-1]
     if not np.all(np.isfinite(a)):
         raise NumericalError("non-finite ODE coefficients")
     return a

@@ -14,10 +14,10 @@ rollout. Each window's squared error is then a quadratic in b, so fit reduces
 every window to its normal-equation sums (G^T G, G^T (alpha - y) and
 ||alpha - y||^2) and runs minibatch gradient descent on those alone, with the
 exact gradient. Each minibatch step is an affine map of b, and a prefix scan
-composes an epoch's steps as arrays. window_loss_grad states the same loss
-and gradient on the affine pieces and is the optimizer's reference;
-closed_form_b solves the same regression directly and serves as the oracle
-for where it converges.
+composes an epoch's steps as arrays, for a block of epochs at a time.
+window_loss_grad states the same loss and gradient on the affine pieces and
+is the optimizer's reference; closed_form_b solves the same regression
+directly and serves as the oracle for where it converges.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass, field, asdict
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -148,6 +149,27 @@ def _as_2d(arr, name: str) -> np.ndarray:
     return arr
 
 
+@lru_cache(maxsize=16)
+def _lift(order: int) -> np.ndarray:
+    """lift_initial_state's vector, shared by every rollout, so read-only."""
+    x = koopman.lift_initial_state(order).x
+    x.flags.writeable = False
+    return x
+
+
+@lru_cache(maxsize=16)
+def _toeplitz(h: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index and mask taking an impulse response k (..., h) to Toeplitz(k).
+
+    k[..., index] * mask is lower triangular with entry (i, j) = k_{i-j}.
+    Shared by every rollout of horizon h, so read-only.
+    """
+    lag = np.arange(h)[:, None] - np.arange(h)
+    index, mask = lag % h, lag >= 0
+    index.flags.writeable = mask.flags.writeable = False
+    return index, mask
+
+
 def _rollout(config: ModelConfig, a: np.ndarray,
              u_future: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Forecast pieces alpha (..., h) and G (..., h, m) of companion systems.
@@ -161,7 +183,7 @@ def _rollout(config: ModelConfig, a: np.ndarray,
     h = u_future.shape[-2]
     abar, w, ok = koopman.companion_discrete(a, config.eff_dt_system)
     carry = np.empty(w.shape[:-1] + (h + 1,) + w.shape[-1:] + (2,))   # (..., h+1, n, 2)
-    carry[..., 0, :, 0] = koopman.lift_initial_state(config.order).x
+    carry[..., 0, :, 0] = _lift(config.order)
     carry[..., 0, :, 1] = w
     for t in range(h):
         carry[..., t + 1, :, :] = abar @ carry[..., t, :, :]
@@ -171,8 +193,8 @@ def _rollout(config: ModelConfig, a: np.ndarray,
     alpha = a0 * first[..., :h, 0] + dot[..., 1:, 0]
     k = dot[..., :h, 1].copy()
     k[..., 1:] += a0 * first[..., :h - 1, 1]
-    lag = np.arange(h)[:, None] - np.arange(h)
-    return alpha, (k[..., lag % h] * (lag >= 0)) @ u_future, ok
+    index, mask = _toeplitz(h)
+    return alpha, (k[..., index] * mask) @ u_future, ok
 
 
 def featurize(config: ModelConfig, states: np.ndarray, controls: np.ndarray) -> Regression:
@@ -229,6 +251,81 @@ def window_loss_grad(alpha: np.ndarray, G: np.ndarray, y: np.ndarray,
     return loss, grad.reshape((-1,) + b.shape).mean(axis=0)
 
 
+def _epochs_per_block(config: ModelConfig, n_win: int, n_feat: int, budget: int) -> int:
+    """Epochs fit descends per array pass: as many as fit in budget bytes, at least one.
+
+    Per batch, a block holds these float64 arrays: its row of sums; A and one
+    A-sized temporary; and d, the b the batch saw and two d-sized
+    temporaries. The loss terms are formed after A and d are freed and need
+    less.
+    """
+    m = config.controls
+    n_gram, n_cross = n_feat * m * m, n_feat * m
+    n_batch = -(-n_win // config.batch_size)
+    per_batch = 8 * (n_gram + n_cross + 1 + 2 * n_gram + 4 * n_cross)
+    return min(config.epochs, max(1, budget // (n_batch * per_batch)))
+
+
+def _descend(config: ModelConfig, table: np.ndarray, n_feat: int, h: int,
+             budget: int) -> tuple[np.ndarray, list[float]]:
+    """fit's minibatch descent on its table of per-window sums.
+
+    Returns b as (F, m) and the loss history. Each block of epochs allocates
+    at most budget bytes beside the table and one epoch's gather.
+    """
+    n_win = table.shape[0]
+    m = config.controls
+    n_gram = n_feat * m * m
+    # batch k: b_{k+1} = b_k - lr * (2 / (n_k h)) * (cross_k + b_k gram_k)
+    #                  = b_k A_k + d_k, with b as (F, 1, m) rows
+    starts = np.arange(0, n_win, config.batch_size)
+    n_batch = starts.size
+    step = (2.0 * config.learning_rate / (np.diff(starts, append=n_win) * h)).reshape(-1, 1, 1, 1)
+    eye = np.eye(m)
+    block = _epochs_per_block(config, n_win, n_feat, budget)
+    sums = np.empty((block, n_batch, table.shape[1]))
+    seen = np.empty((block, n_batch, n_feat, 1, m))
+    b = np.zeros((n_feat, 1, m))
+    rng = np.random.default_rng(config.seed)
+    history: list[float] = []
+    for first in range(0, config.epochs, block):
+        n_ep = min(block, config.epochs - first)
+        for e in range(n_ep):
+            np.add.reduceat(table.take(rng.permutation(n_win), axis=0), starts, axis=0,
+                            out=sums[e])
+        s, bs = sums[:n_ep], seen[:n_ep]
+        gram_b = s[..., :n_gram].reshape(n_ep, n_batch, n_feat, m, m)
+        cross_b = s[..., n_gram:-1].reshape(n_ep, n_batch, n_feat, 1, m)
+        # a diverging b overflows mid-epoch; the check below names the first bad batch
+        with np.errstate(over="ignore", invalid="ignore"):
+            A = eye - step * gram_b
+            d = -step * cross_b
+            # Hillis-Steele along each epoch's batches: after the pass with
+            # offset off, entry k composes maps max(0, k - 2 off + 1)..k, the
+            # earlier map applied first; epochs are never composed together
+            off = 1
+            while off < n_batch:
+                d[:, off:] += d[:, :-off] @ A[:, off:]
+                A[:, off:] = A[:, :-off] @ A[:, off:]
+                off *= 2
+            # each epoch starts from where the one before it ended
+            for e in range(n_ep):
+                bs[e, 0] = b
+                b = b @ A[e, -1] + d[e, -1]
+            bs[:, 1:] = bs[:, :1] @ A[:, :-1] + d[:, :-1]
+            del A, d
+            # each batch's sum of ||alpha + G b - y||^2 at the b it saw
+            quad = bs @ (2.0 * cross_b + bs @ gram_b).swapaxes(-1, -2)
+            total = s[..., -1] + quad.sum(axis=(2, 3, 4))
+        bad = np.argwhere(~np.isfinite(total))
+        if bad.size:
+            epoch, batch = bad[0]
+            raise TrainingAbortedError(f"non-finite loss at epoch {first + epoch}, window "
+                                       f"batch starting at index {starts[batch]}")
+        history.extend(float(t) / (n_win * n_feat * h) for t in total.sum(axis=1))
+    return b[:, 0].copy(), history
+
+
 def fit(config: ModelConfig, states, controls) -> FlightKoobaModel:
     """Train per-feature control weights by minibatch gradient descent.
 
@@ -241,6 +338,11 @@ def fit(config: ModelConfig, states, controls) -> FlightKoobaModel:
     each feature's row b. A prefix scan composes the epoch's maps in
     ceil(log2 batches) array steps, so the b every batch saw is known at once
     and the batch losses follow from it; the first non-finite one aborts.
+    The scan and the losses run once for a block of consecutive epochs, each
+    epoch composing only its own maps, and b passes from one epoch to the next
+    by the same b A_K + d_K its last batch gives; so the numbers are those of
+    one epoch at a time. A block holds as many epochs as fit in the bytes of
+    the featurize output freed before training, and at least one.
     Near zero residual the loss curve is exact only to the rounding of those
     sums and products, about 1e-16 of the first epoch's loss. Rows with no
     usable window raise InputError, as in evaluate and closed_form_b.
@@ -265,44 +367,10 @@ def fit(config: ModelConfig, states, controls) -> FlightKoobaModel:
     np.matmul(residual[..., None, :], G,
               out=table[:, n_gram:-1].reshape(n_win, n_feat, 1, m))
     np.einsum("wfh,wfh->w", residual, residual, out=table[:, -1])
+    budget = residual.nbytes + G.nbytes
     del residual, G, y
-
-    # batch k: b_{k+1} = b_k - lr * (2 / (n_k h)) * (cross_k + b_k gram_k)
-    #                  = b_k A_k + d_k, with b as (F, 1, m) rows
-    starts = np.arange(0, n_win, config.batch_size)
-    step = (2.0 * config.learning_rate / (np.diff(starts, append=n_win) * h)).reshape(-1, 1, 1, 1)
-    eye = np.eye(m)
-    # b before each batch of an epoch, and after its last batch in the last row
-    bs = np.zeros((starts.size + 1, n_feat, 1, m))
-    rng = np.random.default_rng(config.seed)
-    history: list[float] = []
-    for epoch in range(config.epochs):
-        sums = np.add.reduceat(table[rng.permutation(n_win)], starts)
-        gram_b = sums[:, :n_gram].reshape(-1, n_feat, m, m)
-        cross_b = sums[:, n_gram:-1].reshape(-1, n_feat, 1, m)
-        bs[0] = bs[-1]
-        # a diverging b overflows mid-epoch; the check below names the first bad batch
-        with np.errstate(over="ignore", invalid="ignore"):
-            A = eye - step * gram_b
-            d = -step * cross_b
-            # Hillis-Steele: after the pass with offset off, entry k composes
-            # maps max(0, k - 2 off + 1)..k, the earlier map applied first
-            off = 1
-            while off < starts.size:
-                d[off:] = d[:-off] @ A[off:] + d[off:]
-                A[off:] = A[:-off] @ A[off:]
-                off *= 2
-            bs[1:] = bs[0] @ A + d
-            # each batch's sum of ||alpha + G b - y||^2 at the b it saw
-            seen = bs[:-1]
-            quad = seen @ (2.0 * cross_b + seen @ gram_b).swapaxes(-1, -2)
-            total = sums[:, -1] + quad.sum(axis=(1, 2, 3))
-        bad = np.flatnonzero(~np.isfinite(total))
-        if bad.size:
-            raise TrainingAbortedError(f"non-finite loss at epoch {epoch}, window batch "
-                                       f"starting at index {starts[bad[0]]}")
-        history.append(float(total.sum()) / (n_win * n_feat * h))
-    return FlightKoobaModel(config=config, b=bs[-1, :, 0].copy(), loss_history=history,
+    b, history = _descend(config, table, n_feat, h, budget)
+    return FlightKoobaModel(config=config, b=b, loss_history=history,
                             skipped_windows=skipped)
 
 
@@ -343,10 +411,13 @@ def predict(model: FlightKoobaModel, c_state: hippo.CoefficientState,
     """
     config = model.config
     u_future = np.asarray(u_future, dtype=float)
-    if u_future.size == 0:
-        return np.empty(0)
     if u_future.ndim == 1:
         u_future = u_future[:, None]
+    if u_future.ndim != 2:
+        raise InputError(f"u_future must be a (steps, controls) matrix, got shape "
+                         f"{u_future.shape}")
+    if u_future.size == 0:
+        return np.empty(0)
     if u_future.shape[1] != config.controls:
         raise InputError(f"u_future has {u_future.shape[1]} control columns, "
                          f"config expects {config.controls}")

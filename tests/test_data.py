@@ -49,6 +49,18 @@ def test_lorenz_divergence_is_rejected(x0):
         gen_lorenz(LorenzParams(steps=5, x0=x0))
 
 
+def test_lorenz_divergence_names_the_first_step_out_of_bounds():
+    # from (100, -100, 100) at the largest dt the state leaves the bounded
+    # region a few steps in; the error names the first such step
+    params = LorenzParams(dt=0.05, steps=40, x0=(100.0, -100.0, 100.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref = _array_rk4(params)
+    first = np.flatnonzero(~(np.abs(ref) <= 1e6).all(axis=1))[0]
+    assert first > 0
+    with pytest.raises(NumericalError, match=f"diverged at step {first}$"):
+        gen_lorenz(params)
+
+
 def test_lorenz_zero_is_a_fixed_point():
     out = gen_lorenz(LorenzParams(steps=50, x0=(0.0, 0.0, 0.0)))
     np.testing.assert_allclose(out, 0.0)

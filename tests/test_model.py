@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,8 @@ from kooba import (ConfigError, DegenerateCoefficientsError, InputError,
                    load_model, normalize, predict, save_model, split_controls,
                    window_count, window_loss_grad)
 from kooba.hippo import CoefficientState, project
-from kooba.model import CHUNK_ROWS, FlightKoobaModel, build_basis, featurize
+from kooba.model import (CHUNK_ROWS, FlightKoobaModel, _epochs_per_block, build_basis,
+                         featurize)
 
 from conftest import realizable_series
 
@@ -200,6 +202,9 @@ def test_predict_edge_cases():
     # a stack of coefficient vectors is not one state
     with pytest.raises(InputError, match="one coefficient vector"):
         predict(model, CoefficientState(c=np.stack([state.c, state.c])), np.ones((3, 1)))
+    # one control column per step: a third axis is not a stack of forecasts
+    with pytest.raises(InputError, match=r"\(steps, controls\) matrix, got shape \(4, 1, 1\)"):
+        predict(model, state, np.ones((4, 1, 1)))
 
 
 @pytest.mark.parametrize("length", [4, 9])
@@ -439,15 +444,21 @@ def descent_series(request):
     return config, states, ctrl, _reference_pieces(config, states, ctrl)
 
 
-@pytest.mark.parametrize("batch_size", [7, 100, 1], ids=["ragged", "one-batch", "one-window"])
-def test_fit_matches_per_window_descent(batch_size, descent_series):
+@pytest.mark.parametrize("batch_size, epochs", [(7, 6), (100, 6), (1, 6), (9, 7)],
+                         ids=["ragged", "one-batch", "one-window", "blocks"])
+def test_fit_matches_per_window_descent(batch_size, epochs, descent_series):
     # 73 windows: batches of 7 leave a last batch of 3, 100 makes one batch
     # (a scan with no levels), 1 makes 73 batches (seven levels); with two
-    # controls the composed maps are 2x2 matrices, whose order matters
+    # controls the composed maps are 2x2 matrices, whose order matters.
+    # Batches of 9 (a last batch of 1) over 7 epochs run as three or more
+    # blocks of epochs, the last one partial.
     base, states, ctrl, (alpha, G, y) = descent_series
-    config = dataclasses.replace(base, epochs=6, batch_size=batch_size, learning_rate=0.05,
-                                 seed=5)
+    config = dataclasses.replace(base, epochs=epochs, batch_size=batch_size,
+                                 learning_rate=0.05, seed=5)
     assert alpha.shape[0] == 73
+    if batch_size == 9:
+        block = _epochs_per_block(config, 73, 2, alpha.nbytes + G.nbytes)
+        assert -(-epochs // block) >= 3 and epochs % block
     b_ref, loss_ref = _reference_sgd(config, alpha, G, y)
     model = fit(config, states, ctrl)
     assert _rel(model.b, b_ref) < 1e-12
@@ -486,10 +497,46 @@ def test_batched_loss_is_the_mean_of_window_losses():
 
 
 @pytest.fixture(scope="module")
-def lorenz_train():
-    ds = normalize(["x", "y", "z"], gen_lorenz())
-    states, controls = split_controls(ds, 1)
-    return states[:ds.split_index], controls[:ds.split_index]
+def lorenz_ds():
+    return normalize(["x", "y", "z"], gen_lorenz())
+
+
+@pytest.fixture(scope="module")
+def lorenz_train(lorenz_ds):
+    states, controls = split_controls(lorenz_ds, 1)
+    return states[:lorenz_ds.split_index], controls[:lorenz_ds.split_index]
+
+
+def test_fewer_epochs_give_a_prefix_of_the_loss_history(lorenz_train):
+    # fit runs its epochs in blocks; ending inside the first block, at its
+    # end, one epoch after it or inside a later block changes no earlier epoch
+    states, controls = lorenz_train
+    config = ModelConfig()
+    alpha, G, _, _ = featurize(config, states, controls)
+    block = _epochs_per_block(config, *alpha.shape[:2], alpha.nbytes + G.nbytes)
+    assert 2 < block < 22 and 23 % block
+    full = fit(config, states, controls).loss_history
+    for k in (1, 2, block, block + 1, 23):
+        assert fit(dataclasses.replace(config, epochs=k), states, controls).loss_history == full[:k]
+
+
+@pytest.mark.parametrize("controls", [1, 2])
+def test_fit_allocates_no_more_than_featurize(controls, lorenz_ds):
+    # the epochs must not set fit's high-water mark: a block of them takes at
+    # most the bytes of the featurize output that fit frees before them
+    states, ctrl = split_controls(lorenz_ds, controls)
+    states, ctrl = states[:lorenz_ds.split_index], ctrl[:lorenz_ds.split_index]
+    config = ModelConfig(controls=controls)
+    fit(config, states, ctrl)           # the first call imports numpy.random
+    peaks = []
+    for run in (fit, featurize):
+        tracemalloc.start()
+        try:
+            run(config, states, ctrl)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= 1.01 * peaks[1]
 
 
 def test_singular_windows_are_skipped_like_the_pivoted_lu_check(lorenz_train):
@@ -554,15 +601,25 @@ def _first_abort(config, alpha, G, y):
     return None
 
 
-@pytest.mark.parametrize("config", [ModelConfig(horizon=8, learning_rate=1e4),
-                                    ModelConfig(horizon=8, learning_rate=0.9, batch_size=1)],
-                         ids=["epoch-0", "one-window"])
-def test_fit_aborts_where_a_sequential_loop_does(config, lorenz_train):
+@pytest.mark.parametrize("config, later", [
+    (ModelConfig(horizon=8, learning_rate=1e4), False),
+    (ModelConfig(horizon=8, learning_rate=0.9, batch_size=1), False),
+    (ModelConfig(horizon=8, learning_rate=0.8), False),
+    (ModelConfig(horizon=8, learning_rate=0.7), False),
+    (ModelConfig(learning_rate=80.0), True),
+    (ModelConfig(horizon=8, learning_rate=0.7, batch_size=4), True),
+], ids=["epoch-0", "one-window", "h8-lr0.8", "h8-lr0.7", "later-block", "later-block-batch-4"])
+def test_fit_aborts_where_a_sequential_loop_does(config, later, lorenz_train):
     # the scan knows every batch's b at once; the first non-finite batch loss
-    # it names must be the one a step-by-step loop meets first
+    # it names must be the one a step-by-step loop meets first, also when
+    # that is in a later block of epochs than the first
     states, controls = lorenz_train
-    expected = _first_abort(config, *featurize(config, states, controls)[:3])
+    alpha, G, y, _ = featurize(config, states, controls)
+    expected = _first_abort(config, alpha, G, y)
     assert expected is not None
+    if later:
+        epoch = int(expected.split(",")[0].rsplit(" ", 1)[1])
+        assert epoch >= _epochs_per_block(config, *alpha.shape[:2], alpha.nbytes + G.nbytes)
     with pytest.raises(TrainingAbortedError) as info:
         fit(config, states, controls)
     assert str(info.value) == expected
