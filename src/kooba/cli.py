@@ -2,7 +2,7 @@
 
 Subcommands: train (fit + report), eval (rescore a saved model), bench
 (train + eval per dataset, one consolidated table). Reports are versioned
-JSON plus flat CSV; wall time is measured around the fit call only and the
+JSON; wall time is measured around the fit call only and the
 memory column (memory_bytes_estimate) is the tracemalloc peak of featurizing
 the train split, an allocator high-water estimate, not device-resident bytes.
 
@@ -97,7 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--batch-size", dest="batch_size", type=int)
         p.add_argument("--stride", type=int)
         p.add_argument("--seed", type=int)
-        p.add_argument("--config", help="JSON config file (flags win over it)")
 
     p_train = sub.add_parser("train", help="fit a model and write report + model file")
     add_common(p_train, multi_dataset=False)
@@ -113,40 +112,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def make_config(ns: argparse.Namespace) -> ModelConfig:
-    """defaults < config file < explicit flags."""
-    values: dict = {}
-    if ns.config:
-        with open(ns.config, encoding="utf-8") as fh:
-            try:
-                file_cfg = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"config file {ns.config} is not valid JSON: {exc}") from exc
-        if not isinstance(file_cfg, dict):
-            raise ConfigError(f"config file {ns.config} must hold a JSON object")
-        unknown = set(file_cfg) - {f.name for f in fields(ModelConfig)}
-        if unknown:
-            raise ConfigError(f"unknown config file keys: {sorted(unknown)}")
-        values.update(file_cfg)
-    for f in fields(ModelConfig):
-        flag_value = getattr(ns, f.name, None)
-        if flag_value is not None:
-            values[f.name] = flag_value
-    try:
-        return ModelConfig(**values)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+    """ModelConfig defaults, overridden by the model flags that were given."""
+    return ModelConfig(**{f.name: v for f in fields(ModelConfig)
+                          if (v := getattr(ns, f.name, None)) is not None})
+
+
+def dataset_tag(spec: str) -> str:
+    """Name of a dataset spec in reports and bench model files: 'lorenz' or the CSV stem."""
+    if spec == "lorenz":
+        return spec
+    if spec.startswith("csv:"):
+        return Path(spec[4:]).stem
+    raise ConfigError(f"unknown dataset spec {spec!r}; expected 'lorenz' or 'csv:PATH'")
 
 
 def load_dataset(spec: str, controls: int) -> tuple[str, tuple, tuple]:
     """Tag and normalized train and test (states, controls) pairs of a dataset spec."""
+    tag = dataset_tag(spec)
     if spec == "lorenz":
-        tag, names, table = "lorenz", ["x", "y", "z"], gen_lorenz(LorenzParams())
-    elif spec.startswith("csv:"):
-        path = spec[4:]
-        names, table = load_csv(path)
-        tag = Path(path).stem
+        names, table = ["x", "y", "z"], gen_lorenz(LorenzParams())
     else:
-        raise ConfigError(f"unknown dataset spec {spec!r}; expected 'lorenz' or 'csv:PATH'")
+        names, table = load_csv(spec[4:])
     dataset = normalize(names, table)
     states, ctrl = split_controls(dataset, controls)
     k = dataset.split_index
@@ -254,6 +240,11 @@ def cmd_eval(ns: argparse.Namespace) -> int:
 
 def cmd_bench(ns: argparse.Namespace) -> int:
     config = make_config(ns)
+    # each tag names a report row and a model file, so two specs may not share one
+    tags = [dataset_tag(spec) for spec in ns.dataset]
+    repeated = sorted({tag for tag in tags if tags.count(tag) > 1})
+    if repeated:
+        raise ConfigError(f"--dataset specs must have distinct tags; {repeated} repeat")
     rows = []
     models = {}
     succeeded = 0
@@ -285,12 +276,6 @@ def cmd_bench(ns: argparse.Namespace) -> int:
     out = Path(ns.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "bench_report.json", doc)
-    with open(out / "bench_report.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        header = [*REPORT_FIELDS["row"], "error"]
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([row.get(k, "") for k in header])
     for tag, fitted in models.items():
         model_mod.save_model(fitted, out / f"{tag}_model.json")
     for row in rows:

@@ -132,12 +132,21 @@ class TimeSeriesDataset:
 
 
 def normalize(names: list[str], table: np.ndarray) -> TimeSeriesDataset:
-    """Min-max scale each column on the train split, the first TRAIN_FRAC of the rows."""
+    """Min-max scale each column on the train split, the first TRAIN_FRAC of the rows.
+
+    A NaN or infinite cell raises InputError naming its column and its row,
+    counted from 0 over the table's rows.
+    """
     table = np.asarray(table, dtype=float)
     if table.ndim != 2 or table.shape[0] < 2:
         raise InputError(f"need a 2-d table with at least 2 rows, got shape {table.shape}")
     if len(names) != table.shape[1]:
         raise InputError(f"{len(names)} names for {table.shape[1]} columns")
+    bad = np.argwhere(~np.isfinite(table))
+    if bad.size:
+        row, col = bad[0]
+        raise InputError(f"column {names[col]!r} holds the non-finite value "
+                         f"{table[row, col]} at row {row}")
     split = int(np.floor(TRAIN_FRAC * table.shape[0]))
     cmin = table[:split].min(axis=0)
     cmax = table[:split].max(axis=0)

@@ -80,6 +80,8 @@ class ModelConfig:
                               f"({self.epochs}, {self.batch_size})")
         if self.stride is not None and self.stride < 1:
             raise ConfigError(f"stride must be positive, got {self.stride}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         for name in ("learning_rate", "omega", "dt_basis"):
             v = getattr(self, name)
             if v is not None and not 0 < v < math.inf:
@@ -421,6 +423,8 @@ def predict(model: FlightKoobaModel, c_state: hippo.CoefficientState,
     if u_future.shape[1] != config.controls:
         raise InputError(f"u_future has {u_future.shape[1]} control columns, "
                          f"config expects {config.controls}")
+    if isinstance(feature, bool) or not isinstance(feature, (int, np.integer)):
+        raise InputError(f"feature must be an integer index, got {feature!r}")
     if not 0 <= feature < model.n_features:
         raise InputError(f"feature index {feature} out of range")
     if not np.all(np.isfinite(u_future)):

@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -89,19 +90,32 @@ def test_eval_horizon_override(tmp_path, synthetic_csv):
 
 
 def test_bench_over_several_datasets(tmp_path, synthetic_csv):
+    other = tmp_path / "other" / "track.csv"
+    other.parent.mkdir()
+    other.write_bytes(synthetic_csv.read_bytes())
     out = tmp_path / "bench"
     rc = cli.main(["bench", "--dataset", f"csv:{synthetic_csv}",
-                   "--dataset", f"csv:{synthetic_csv}",
+                   "--dataset", f"csv:{other}",
                    "--epochs", "3", "--out", str(out)])
     assert rc == cli.EXIT_OK
     doc = json.loads((out / "bench_report.json").read_text())
     assert cli.validate_report(doc) == []
-    assert len(doc["rows"]) == 2
-    csv_lines = (out / "bench_report.csv").read_text().strip().splitlines()
-    assert csv_lines[0] == ("dataset,mse_mean,train_time_ms,memory_bytes_estimate,"
-                            "parameters,seed,error")
-    assert len(csv_lines) == 3
-    assert (out / "syn_model.json").exists()
+    assert [row["dataset"] for row in doc["rows"]] == ["syn", "track"]
+    assert sorted(p.name for p in out.iterdir()) == ["bench_report.json", "syn_model.json",
+                                                     "track_model.json"]
+
+
+def test_bench_checks_every_spec_before_running(tmp_path, synthetic_csv, capsys):
+    other = tmp_path / "other" / synthetic_csv.name
+    other.parent.mkdir()
+    other.write_bytes(synthetic_csv.read_bytes())
+    out = tmp_path / "bench"
+    for second in (f"csv:{other}", "granary"):
+        rc = cli.main(["bench", "--dataset", f"csv:{synthetic_csv}", "--dataset", second,
+                       "--epochs", "3", "--out", str(out)])
+        assert rc == cli.EXIT_CONFIG
+        assert not out.exists()
+    assert "['syn'] repeat" in capsys.readouterr().err
 
 
 def test_bench_keeps_going_after_a_bad_dataset(tmp_path, synthetic_csv):
@@ -168,15 +182,27 @@ def test_renamed_flags_reach_their_fields(tmp_path, synthetic_csv):
     assert config["dt_system_effective"] == pytest.approx(2.0 / 10)
 
 
+def _subparsers() -> dict:
+    parser = cli.build_parser()
+    return next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
 def test_every_model_flag_names_a_config_field():
     # make_config reads ModelConfig's fields off the namespace, so a flag whose
     # dest is not a field would be parsed and then silently ignored
-    parser = cli.build_parser()
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    harness = {"dataset", "out", "config", "help"}
+    harness = {"dataset", "out", "help"}
     for command in ("train", "bench"):
-        dests = {a.dest for a in sub.choices[command]._actions}
-        assert dests - harness == {f.name for f in fields(ModelConfig)}, command
+        dests = {a.dest for a in _subparsers()[command]._actions}
+        assert dests == {f.name for f in fields(ModelConfig)} | harness, command
+
+
+def test_readme_cli_section_names_every_flag():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    flags = {opt for p in _subparsers().values() for a in p._actions
+             for opt in a.option_strings if opt.startswith("--")}
+    assert set(re.findall(r"--[a-z][a-z-]*", section)) == flags - {"--help"}
 
 
 def test_failed_run_leaves_no_report(tmp_path, synthetic_csv):
@@ -197,36 +223,15 @@ def test_diverging_training_exits_3_with_the_abort_message(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_config_file_precedence(tmp_path, synthetic_csv):
+@pytest.mark.parametrize("command", ["train", "bench"])
+def test_config_file_flag_is_gone(tmp_path, synthetic_csv, command):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text('{"order": 5, "epochs": 4}', encoding="utf-8")
-    out = tmp_path / "out"
-    rc = cli.main(["train", "--dataset", f"csv:{synthetic_csv}",
-                   "--config", str(cfg), "--order", "3", "--out", str(out)])
-    assert rc == cli.EXIT_OK
-    report = json.loads((out / "report.json").read_text())
-    assert report["config"]["order"] == 3  # flag wins
-    assert report["config"]["epochs"] == 4  # file fills the rest
-
-
-def test_config_file_rejects_unknown_keys(tmp_path, synthetic_csv):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text('{"order": 5, "optimizer": "adam"}', encoding="utf-8")
-    rc = cli.main(["train", "--dataset", f"csv:{synthetic_csv}",
-                   "--config", str(cfg), "--out", str(tmp_path / "o")])
-    assert rc == cli.EXIT_CONFIG
-    # a removed option is an unknown key, even at its old default
-    removed = tmp_path / "removed.json"
-    removed.write_text('{"s0": 1.0}', encoding="utf-8")
-    rc = cli.main(["train", "--dataset", f"csv:{synthetic_csv}",
-                   "--config", str(removed), "--out", str(tmp_path / "o")])
-    assert rc == cli.EXIT_CONFIG
+    cfg.write_text('{"order": 5}', encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--dataset", f"csv:{synthetic_csv}", "--config", str(cfg),
+                  "--out", str(tmp_path / "o")])
+    assert exc.value.code == cli.EXIT_CONFIG
     assert not (tmp_path / "o").exists()
-    broken = tmp_path / "broken.json"
-    broken.write_text("{not json", encoding="utf-8")
-    rc = cli.main(["train", "--dataset", f"csv:{synthetic_csv}",
-                   "--config", str(broken), "--out", str(tmp_path / "o")])
-    assert rc == cli.EXIT_CONFIG
 
 
 def test_corrupted_model_file(tmp_path, synthetic_csv):
@@ -238,15 +243,25 @@ def test_corrupted_model_file(tmp_path, synthetic_csv):
     assert rc == cli.EXIT_CONFIG
 
 
-@pytest.mark.parametrize("text", ["5", "[1, 2]", '{"order": 6.5}', '{"epochs": "50"}',
-                                  '{"dt_basis": NaN}', '{"learning_rate": NaN}',
-                                  '{"method": "legt", "omega": Infinity}'])
-def test_malformed_config_file_exits_2(tmp_path, synthetic_csv, text):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(text, encoding="utf-8")
-    rc = cli.main(["train", "--dataset", f"csv:{synthetic_csv}",
-                   "--config", str(cfg), "--out", str(tmp_path / "o")])
+@pytest.mark.parametrize("flags", [["--lr", "nan"], ["--dt", "nan"],
+                                   ["--method", "legt", "--omega", "inf"], ["--seed", "-1"]],
+                         ids=["lr-nan", "dt-nan", "legt-omega-inf", "seed-negative"])
+def test_invalid_model_flag_value_exits_2(tmp_path, synthetic_csv, flags):
+    rc = cli.main(["train", "--dataset", f"csv:{synthetic_csv}", *flags,
+                   "--out", str(tmp_path / "o")])
     assert rc == cli.EXIT_CONFIG
+    assert not (tmp_path / "o").exists()
+
+
+def test_non_finite_csv_cell_exits_2(tmp_path, synthetic_csv, capsys):
+    lines = synthetic_csv.read_text().splitlines()
+    lines[41] = "0.5,inf,0.5"
+    path = tmp_path / "inf.csv"
+    path.write_text("\n".join(lines) + "\n")
+    rc = cli.main(["train", "--dataset", f"csv:{path}", "--out", str(tmp_path / "o")])
+    assert rc == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == ("error: column 'b' holds the non-finite value inf "
+                                       "at row 40\n")
     assert not (tmp_path / "o").exists()
 
 

@@ -191,6 +191,13 @@ def test_normalize_guards():
         normalize(["a", "b"], np.ones((4, 1)))
     with pytest.raises(InputError):
         normalize(["a"], np.ones((4, 1)))  # constant column
+    # one non-finite cell, even in the test split, would poison its column
+    for value in (np.nan, np.inf, -np.inf):
+        table = np.column_stack([np.arange(10.0), np.arange(10.0) ** 2])
+        table[8, 1] = table[9, 0] = value
+        with pytest.raises(InputError, match=f"column 'b' holds the non-finite value "
+                                             f"{value} at row 8"):
+            normalize(["a", "b"], table)
     # the train split is the first 70% of the rows, rounded down
     assert normalize(["a"], np.arange(3.0)[:, None]).split_index == 2
 

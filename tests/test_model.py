@@ -49,6 +49,8 @@ def test_config_validation():
         ModelConfig(learning_rate=0.0)
     with pytest.raises(ConfigError):
         ModelConfig(stride=0)
+    with pytest.raises(ConfigError, match="seed must be non-negative, got -1"):
+        ModelConfig(seed=-1)
 
 
 @pytest.mark.parametrize("name, value", [("order", 6.5), ("seq_len", 8.0), ("epochs", "50"),
@@ -196,6 +198,11 @@ def test_predict_edge_cases():
         predict(model, state, np.ones((3, 2)))
     with pytest.raises(InputError):
         predict(model, state, np.ones((3, 1)), feature=1)
+    for feature in (0.5, True, np.float64(0.0), np.bool_(False)):
+        with pytest.raises(InputError, match="feature must be an integer index"):
+            predict(model, state, np.ones((3, 1)), feature=feature)
+    np.testing.assert_array_equal(predict(model, state, np.ones((3, 1)), feature=np.int64(0)),
+                                  out1)
     # zero coefficients have no leading term: no companion system
     with pytest.raises(DegenerateCoefficientsError):
         predict(model, CoefficientState(c=np.zeros(4)), np.ones((3, 1)))
