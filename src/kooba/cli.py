@@ -3,8 +3,10 @@
 Subcommands: train (fit + report), eval (rescore a saved model), bench
 (train + eval per dataset, one consolidated table). Reports are versioned
 JSON; wall time is measured around the fit call only and the
-memory column (memory_bytes_estimate) is the tracemalloc peak of featurizing
-the train split, an allocator high-water estimate, not device-resident bytes.
+memory column (memory_bytes_estimate) is the tracemalloc peak of building
+fit's table of per-window sums on the train split (model.normal_equations),
+which training stays below: an allocator high-water estimate of fit, not
+device-resident bytes.
 
 Exit codes: 0 success, 2 bad configuration or input, 3 training aborted on a
 non-finite loss or another numerical failure, 4 I/O failure. KOOBA_LOG sets
@@ -155,11 +157,12 @@ def run_dataset(config: ModelConfig, spec: str) -> tuple[dict, model_mod.FlightK
     fitted = model_mod.fit(config, *train)
     train_ms = (time.perf_counter() - t0) * 1e3
     scores = model_mod.evaluate(fitted, *test)
-    # the allocator high-water mark of featurizing the train split, whose
-    # arrays are what grows with the data; no timed fit runs under tracemalloc
+    # fit's allocator high-water mark: building its table of per-window sums
+    # on the train split, which training stays below; no timed fit runs under
+    # tracemalloc
     tracemalloc.start()
     try:
-        model_mod.featurize(config, *train)
+        model_mod.normal_equations(config, *train)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -67,10 +67,21 @@ def gen_lorenz(params: LorenzParams = LorenzParams()) -> np.ndarray:
     return out
 
 
+def _is_float(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
 def load_csv(path) -> tuple[list[str], np.ndarray]:
     """Parse a headed CSV, keeping only numeric, non-constant columns.
 
-    Every dropped column gets one log line. Unreadable files raise OSError;
+    A column whose first data cell is not a number is text and is dropped;
+    every dropped column gets one log line. A later cell that is not a
+    number in a numeric column (a blank one, say) raises InputError naming
+    the column, its file line and the cell. Unreadable files raise OSError;
     content problems raise InputError.
     """
     with open(path, newline="", encoding="utf-8") as fh:
@@ -89,12 +100,16 @@ def load_csv(path) -> tuple[list[str], np.ndarray]:
     names: list[str] = []
     cols: list[np.ndarray] = []
     for j, name in enumerate(header):
+        if not _is_float(body[0][j]):
+            log.info("dropped non-numeric column %r", name)
+            continue
         try:
             # numpy parses each string cell with Python's own float()
             col = np.array([row[j] for row in body], dtype=float)
         except ValueError:
-            log.info("dropped non-numeric column %r", name)
-            continue
+            i = next(i for i, row in enumerate(body) if not _is_float(row[j]))
+            raise InputError(f"numeric column {name!r} of {path} holds the cell "
+                             f"{body[i][j]!r} on line {i + 2}, which is not a number") from None
         if np.min(col) == np.max(col):
             log.info("dropped constant column %r", name)
             continue

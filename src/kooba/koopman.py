@@ -203,15 +203,24 @@ def companion_discrete(a, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray
     record = np.maximum.accumulate(
         np.concatenate([np.ones(size.shape[:-1] + (1,)), size[..., :-1]], axis=-1), axis=-1)
     pivots = size / record
+    # each intermediate goes as soon as it is spent, so that with Abar and the
+    # buffer numpy allocates for its broadcast sum this function stays below
+    # the rollout's own high-water mark
+    del size, record
     pivots[..., :-1] = np.maximum(pivots[..., :-1], 1.0)
     ok &= pivots.min(axis=-1) >= SINGULAR_TOL * np.maximum(pivots.max(axis=-1), 1.0)
+    del pivots
 
     base, p = _bilinear_base(n, float(dt))
     last = np.where(ok, D[..., n - 1], 1.0)     # any nonzero value where undefined
     scale = 2.0 / last
     s = D * -scale[..., None]                   # s of the closed form, times 2 / D_{n-1}
+    del D, horner
     s[..., n - 1] = scale
-    abar = base + p[:, None] * s[..., None, :]
+    # the outer product as a matmul over one term writes straight into abar
+    abar = p[:, None] @ s[..., None, :]
+    del s
+    abar += base
     abar[~ok] = 0.0
     w = (dt / (last * a_n))[..., None] * p
     w[~ok] = 0.0

@@ -9,10 +9,13 @@ rollout is affine in the control weights b, so every window reduces to
     forecast = alpha + G b
 
 with alpha the control-free response and G the per-channel control response.
-featurize builds them for all windows at once, and predict uses the same
-rollout. Each window's squared error is then a quadratic in b, so fit reduces
-every window to its normal-equation sums (G^T G, G^T (alpha - y) and
-||alpha - y||^2) and runs minibatch gradient descent on those alone, with the
+One generator (_chunks) rolls the windows out a fixed chunk of window x
+feature rows at a time: featurize gathers the chunks into arrays of every
+window, and predict runs the same rollout on one system. Each window's
+squared error is then a quadratic in b, so fit reduces every window to its
+normal-equation sums (G^T G, G^T (alpha - y) and ||alpha - y||^2) as its
+chunk is rolled out (normal_equations), never holding alpha or G for every
+window, and runs minibatch gradient descent on those sums alone, with the
 exact gradient. Each minibatch step is an affine map of b, and a prefix scan
 composes an epoch's steps as arrays, for a block of epochs at a time.
 window_loss_grad states the same loss and gradient on the affine pieces and
@@ -32,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import hippo, koopman
-from .data import windows
+from .data import window_count, windows
 from .errors import ConfigError, InputError, NumericalError, TrainingAbortedError
 
 log = logging.getLogger(__name__)
@@ -159,19 +162,6 @@ def _lift(order: int) -> np.ndarray:
     return x
 
 
-@lru_cache(maxsize=16)
-def _toeplitz(h: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index and mask taking an impulse response k (..., h) to Toeplitz(k).
-
-    k[..., index] * mask is lower triangular with entry (i, j) = k_{i-j}.
-    Shared by every rollout of horizon h, so read-only.
-    """
-    lag = np.arange(h)[:, None] - np.arange(h)
-    index, mask = lag % h, lag >= 0
-    index.flags.writeable = mask.flags.writeable = False
-    return index, mask
-
-
 def _rollout(config: ModelConfig, a: np.ndarray,
              u_future: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Forecast pieces alpha (..., h) and G (..., h, m) of companion systems.
@@ -180,7 +170,10 @@ def _rollout(config: ModelConfig, a: np.ndarray,
     leading axes. Convolution form of the lifted recurrence x' = Abar x + w u:
     carry Abar^t [x0, w] for t = 0..h, read alpha off the first column and the
     control impulse response k off the second, then G = Toeplitz(k) u. The
-    third result marks the systems that are defined (koopman.companion_discrete).
+    Toeplitz matrix is a strided view of k behind h - 1 zeros: entry (i, j)
+    sits i - j places after k_0, so rows step forward and columns step back.
+    The third result marks the systems that are defined
+    (koopman.companion_discrete).
     """
     h = u_future.shape[-2]
     abar, w, ok = koopman.companion_discrete(a, config.eff_dt_system)
@@ -189,21 +182,28 @@ def _rollout(config: ModelConfig, a: np.ndarray,
     carry[..., 0, :, 1] = w
     for t in range(h):
         carry[..., t + 1, :, :] = abar @ carry[..., t, :, :]
+    del abar
     first = carry[..., 0, :]                                 # (..., h+1, 2)
     dot = (a[..., None, None, 1:] @ carry)[..., 0, :]        # a_1.. . carry
     a0 = a[..., :1]
     alpha = a0 * first[..., :h, 0] + dot[..., 1:, 0]
-    k = dot[..., :h, 1].copy()
+    padded = np.zeros(dot.shape[:-2] + (2 * h - 1,))
+    k = padded[..., h - 1:]
+    k[...] = dot[..., :h, 1]
     k[..., 1:] += a0 * first[..., :h - 1, 1]
-    index, mask = _toeplitz(h)
-    return alpha, (k[..., index] * mask) @ u_future, ok
+    s = padded.itemsize
+    toeplitz = np.ndarray(padded.shape[:-1] + (h, h), padded.dtype, padded, (h - 1) * s,
+                          padded.strides[:-1] + (s, -s))
+    return alpha, toeplitz @ u_future, ok
 
 
-def featurize(config: ModelConfig, states: np.ndarray, controls: np.ndarray) -> Regression:
-    """Affine pieces of every window as arrays, CHUNK_ROWS rows at a time.
+def _chunks(config: ModelConfig, states: np.ndarray, controls: np.ndarray):
+    """Affine pieces of the usable windows, CHUNK_ROWS window x feature rows at a time.
 
-    A window is skipped when any feature's companion system is undefined (a
-    vanishing leading coefficient or a singular I - dt/2 A).
+    Yields (alpha, G, y) of each chunk's usable windows, in window order. A
+    window is skipped when any feature's companion system is undefined (a
+    vanishing leading coefficient or a singular I - dt/2 A). y is a view of
+    states when the chunk skips no window.
     """
     if controls.shape[1] != config.controls:
         raise InputError(f"control matrix has {controls.shape[1]} columns, "
@@ -211,22 +211,36 @@ def featurize(config: ModelConfig, states: np.ndarray, controls: np.ndarray) -> 
     L, h = config.seq_len, config.horizon
     hist, u_future, y = windows(states, controls, L, h, config.eff_stride)
     n_rows, n_feat, _ = hist.shape
-    alpha = np.empty((n_rows, n_feat, h))
-    G = np.empty(alpha.shape + (config.controls,))
-    ok = np.empty((n_rows, n_feat), dtype=bool)
     kernel = hippo.build_kernel(build_basis(config), L)
     zero = hippo.init_state(config.order)
     step = max(1, CHUNK_ROWS // n_feat)
     for lo in range(0, n_rows, step):
         rows = slice(lo, lo + step)
-        c = hippo.block_step(zero, hist[rows], kernel).c
-        a = koopman.poly_ode_coeffs(c)
-        alpha[rows], G[rows], ok[rows] = _rollout(config, a, u_future[rows, None])
-    usable = ok.all(axis=1)
-    skipped = int(usable.size - np.count_nonzero(usable))
-    if skipped:
-        alpha, G, y = alpha[usable], G[usable], y[usable]
-    return Regression(alpha=alpha, G=G, y=y, skipped=skipped)
+        a = koopman.poly_ode_coeffs(hippo.block_step(zero, hist[rows], kernel).c)
+        alpha, G, ok = _rollout(config, a, u_future[rows, None])
+        usable = ok.all(axis=1)
+        if usable.all():
+            yield alpha, G, y[rows]
+        else:
+            yield alpha[usable], G[usable], y[rows][usable]
+
+
+def _window_count(config: ModelConfig, states: np.ndarray) -> int:
+    return window_count(states.shape[0], config.seq_len, config.horizon, config.eff_stride)
+
+
+def featurize(config: ModelConfig, states: np.ndarray, controls: np.ndarray) -> Regression:
+    """Affine pieces of every usable window as arrays, filled chunk by chunk."""
+    n_win, n_feat, h = _window_count(config, states), states.shape[1], config.horizon
+    alpha = np.empty((n_win, n_feat, h))
+    G = np.empty(alpha.shape + (config.controls,))
+    y = np.empty_like(alpha)
+    n = 0
+    for pieces in _chunks(config, states, controls):
+        k = pieces[0].shape[0]
+        alpha[n:n + k], G[n:n + k], y[n:n + k] = pieces
+        n += k
+    return Regression(alpha=alpha[:n], G=G[:n], y=y[:n], skipped=n_win - n)
 
 
 def _usable_windows(config: ModelConfig, states, controls, split: str) -> Regression:
@@ -253,30 +267,45 @@ def window_loss_grad(alpha: np.ndarray, G: np.ndarray, y: np.ndarray,
     return loss, grad.reshape((-1,) + b.shape).mean(axis=0)
 
 
-def _epochs_per_block(config: ModelConfig, n_win: int, n_feat: int, budget: int) -> int:
-    """Epochs fit descends per array pass: as many as fit in budget bytes, at least one.
+def _chunk_bytes(config: ModelConfig, n_win: int, n_feat: int) -> int:
+    """Bytes a chunk of the table build holds at once while it rolls out, then frees.
 
-    Per batch, a block holds these float64 arrays: its row of sums; A and one
-    A-sized temporary; and d, the b the batch saw and two d-sized
-    temporaries. The loss terms are formed after A and d are freed and need
-    less.
+    Per window x feature row, in float64: Abar (n^2), the carry (2n (h+1)),
+    one step's product (2n), w (n) and the ODE coefficients a (n+1).
+    """
+    n = config.order
+    rows = min(max(1, CHUNK_ROWS // n_feat), n_win) * n_feat
+    return 8 * rows * (n * n + 2 * n * (config.horizon + 3) + 1)
+
+
+def _epochs_per_block(config: ModelConfig, n_win: int, n_feat: int) -> int:
+    """Epochs fit descends per array pass: as many as fit in a chunk's bytes, at least one.
+
+    Per epoch and batch, a block holds its row of sums and the b the batch
+    saw. Beside them it holds one epoch's permutation and gather (an index
+    and a table row per window) while it sums, and later the scan's A with
+    one A-sized temporary and d with two d-sized temporaries. Either phase
+    fits in _chunk_bytes, which the table build freed before training.
     """
     m = config.controls
     n_gram, n_cross = n_feat * m * m, n_feat * m
+    n_cols = n_gram + n_cross + 1
     n_batch = -(-n_win // config.batch_size)
-    per_batch = 8 * (n_gram + n_cross + 1 + 2 * n_gram + 4 * n_cross)
-    return min(config.epochs, max(1, budget // (n_batch * per_batch)))
+    budget = _chunk_bytes(config, n_win, n_feat)
+    held = 8 * n_batch * (n_cols + n_cross + 1)
+    scan = 8 * n_batch * (2 * n_gram + 3 * n_cross)
+    gather = 8 * n_win * (n_cols + 1)
+    return min(config.epochs, max(1, min((budget - gather) // held, budget // (held + scan))))
 
 
-def _descend(config: ModelConfig, table: np.ndarray, n_feat: int, h: int,
-             budget: int) -> tuple[np.ndarray, list[float]]:
+def _descend(config: ModelConfig, table: np.ndarray) -> tuple[np.ndarray, list[float]]:
     """fit's minibatch descent on its table of per-window sums.
 
-    Returns b as (F, m) and the loss history. Each block of epochs allocates
-    at most budget bytes beside the table and one epoch's gather.
+    Returns b as (F, m) and the loss history. A block of epochs holds what
+    _epochs_per_block counts.
     """
-    n_win = table.shape[0]
-    m = config.controls
+    n_win, h, m = table.shape[0], config.horizon, config.controls
+    n_feat = (table.shape[1] - 1) // (m * m + m)
     n_gram = n_feat * m * m
     # batch k: b_{k+1} = b_k - lr * (2 / (n_k h)) * (cross_k + b_k gram_k)
     #                  = b_k A_k + d_k, with b as (F, 1, m) rows
@@ -284,7 +313,7 @@ def _descend(config: ModelConfig, table: np.ndarray, n_feat: int, h: int,
     n_batch = starts.size
     step = (2.0 * config.learning_rate / (np.diff(starts, append=n_win) * h)).reshape(-1, 1, 1, 1)
     eye = np.eye(m)
-    block = _epochs_per_block(config, n_win, n_feat, budget)
+    block = _epochs_per_block(config, n_win, n_feat)
     sums = np.empty((block, n_batch, table.shape[1]))
     seen = np.empty((block, n_batch, n_feat, 1, m))
     b = np.zeros((n_feat, 1, m))
@@ -319,6 +348,7 @@ def _descend(config: ModelConfig, table: np.ndarray, n_feat: int, h: int,
             # each batch's sum of ||alpha + G b - y||^2 at the b it saw
             quad = bs @ (2.0 * cross_b + bs @ gram_b).swapaxes(-1, -2)
             total = s[..., -1] + quad.sum(axis=(2, 3, 4))
+            del quad
         bad = np.argwhere(~np.isfinite(total))
         if bad.size:
             epoch, batch = bad[0]
@@ -328,13 +358,45 @@ def _descend(config: ModelConfig, table: np.ndarray, n_feat: int, h: int,
     return b[:, 0].copy(), history
 
 
+class NormalEquations(NamedTuple):
+    """fit's training data: one row of per-window sums per usable window."""
+    table: np.ndarray       # (W, F m^2 + F m + 1): G^T G, G^T (alpha - y), ||alpha - y||^2
+    skipped: int            # windows dropped for an undefined companion system
+
+
+def normal_equations(config: ModelConfig, states, controls) -> NormalEquations:
+    """Reduce every usable training window to its normal-equation sums, chunk by chunk.
+
+    Each chunk's alpha - y is formed in place, then its rows of the table
+    are written directly, so no array of every window's alpha or G exists.
+    Raises InputError unless at least one window is usable.
+    """
+    states, controls = _as_2d(states, "states"), _as_2d(controls, "controls")
+    n_win, n_feat, m = _window_count(config, states), states.shape[1], config.controls
+    n_gram = n_feat * m * m
+    table = np.empty((n_win, n_gram + n_feat * m + 1))
+    n = 0
+    for residual, G, y in _chunks(config, states, controls):
+        k = residual.shape[0]
+        rows = table[n:n + k]
+        np.subtract(residual, y, out=residual)
+        rows[:, :n_gram] = (G.swapaxes(-1, -2) @ G).reshape(k, n_gram)
+        rows[:, n_gram:-1] = (residual[..., None, :] @ G).reshape(k, n_feat * m)
+        np.einsum("wfh,wfh->w", residual, residual, out=rows[:, -1])
+        n += k
+    if n == 0:
+        raise InputError(f"no usable training windows ({n_win} skipped)")
+    return NormalEquations(table=table[:n], skipped=n_win - n)
+
+
 def fit(config: ModelConfig, states, controls) -> FlightKoobaModel:
     """Train per-feature control weights by minibatch gradient descent.
 
     Windows are featurized once (the companion system is frozen per window)
     and each is reduced to its normal-equation sums G^T G, G^T (alpha - y)
-    and ||alpha - y||^2, packed as one row of a table. Each epoch shuffles the
-    windows with the seeded generator and sums the table per minibatch of
+    and ||alpha - y||^2, packed as one row of a table that normal_equations
+    fills one chunk of windows at a time. Each epoch shuffles the windows
+    with the seeded generator and sums the table per minibatch of
     batch_size windows. Batch k then steps b, from zero, with the exact
     gradient of window_loss_grad's loss: an affine map b -> b A_k + d_k on
     each feature's row b. A prefix scan composes the epoch's maps in
@@ -343,8 +405,8 @@ def fit(config: ModelConfig, states, controls) -> FlightKoobaModel:
     The scan and the losses run once for a block of consecutive epochs, each
     epoch composing only its own maps, and b passes from one epoch to the next
     by the same b A_K + d_K its last batch gives; so the numbers are those of
-    one epoch at a time. A block holds as many epochs as fit in the bytes of
-    the featurize output freed before training, and at least one.
+    one epoch at a time. A block holds as many epochs as fit in the bytes a
+    chunk of the table build freed, and at least one (_epochs_per_block).
     Near zero residual the loss curve is exact only to the rounding of those
     sums and products, about 1e-16 of the first epoch's loss. Rows with no
     usable window raise InputError, as in evaluate and closed_form_b.
@@ -355,23 +417,8 @@ def fit(config: ModelConfig, states, controls) -> FlightKoobaModel:
     b = 0, and the step size is so large that the composed A_k overflow. The
     scan then forms 0 * inf.
     """
-    residual, G, y, skipped = _usable_windows(config, states, controls, "training")
-    n_win, n_feat, h = residual.shape
-    m = config.controls
-
-    # per-window normal-equation sums as column blocks of one table, written
-    # in place; alpha - y is formed in featurize's own buffer (y is a view of
-    # the caller's states)
-    np.subtract(residual, y, out=residual)
-    n_gram = n_feat * m * m
-    table = np.empty((n_win, n_gram + n_feat * m + 1))
-    np.matmul(G.swapaxes(-1, -2), G, out=table[:, :n_gram].reshape(n_win, n_feat, m, m))
-    np.matmul(residual[..., None, :], G,
-              out=table[:, n_gram:-1].reshape(n_win, n_feat, 1, m))
-    np.einsum("wfh,wfh->w", residual, residual, out=table[:, -1])
-    budget = residual.nbytes + G.nbytes
-    del residual, G, y
-    b, history = _descend(config, table, n_feat, h, budget)
+    table, skipped = normal_equations(config, states, controls)
+    b, history = _descend(config, table)
     return FlightKoobaModel(config=config, b=b, loss_history=history,
                             skipped_windows=skipped)
 

@@ -1,9 +1,22 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from kooba import FlightKoobaModel, ModelConfig, predict
 from kooba.hippo import project
 from kooba.model import build_basis
+
+
+def traced_peak(fn, *args):
+    """tracemalloc high-water mark of fn(*args), after one untraced warm-up call."""
+    fn(*args)
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def realizable_series(config, b_star, n_windows, seed, ctrl_scale=5.0):

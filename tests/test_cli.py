@@ -17,6 +17,8 @@ from kooba import (ConfigError, DegenerateCoefficientsError, InputError,
                    cli, fit, gen_lorenz, load_model, normalize, split_controls)
 from kooba.data import save_csv
 
+from conftest import traced_peak
+
 
 @pytest.fixture
 def synthetic_csv(tmp_path):
@@ -265,6 +267,20 @@ def test_non_finite_csv_cell_exits_2(tmp_path, synthetic_csv, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_blank_csv_cell_exits_2(tmp_path, synthetic_csv, capsys):
+    # a blank cell in a numeric column once dropped the column and trained on
+    # the rest with exit 0
+    lines = synthetic_csv.read_text().splitlines()
+    lines[41] = lines[41].split(",")[0] + ",," + lines[41].split(",")[2]
+    path = tmp_path / "blank.csv"
+    path.write_text("\n".join(lines) + "\n")
+    rc = cli.main(["train", "--dataset", f"csv:{path}", "--out", str(tmp_path / "o")])
+    assert rc == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == (f"error: numeric column 'b' of {path} holds the cell '' "
+                                       f"on line 42, which is not a number\n")
+    assert not (tmp_path / "o").exists()
+
+
 def test_train_without_a_usable_window_exits_2(tmp_path, capsys):
     # the state column is zero over every training history (rows 0-63 of the
     # 70-row train split), so every training window is skipped
@@ -319,19 +335,16 @@ def test_train_time_is_measured_without_tracemalloc(tmp_path, synthetic_csv, mon
 
 
 def test_memory_estimate_matches_a_traced_fit(tmp_path):
-    rc = cli.main(["train", "--dataset", "lorenz", "--out", str(tmp_path / "o")])
-    assert rc == cli.EXIT_OK
-    estimate = json.loads((tmp_path / "o" / "report.json").read_text())["memory_bytes_estimate"]
     ds = normalize(["x", "y", "z"], gen_lorenz())
     states, controls = split_controls(ds, 1)
     split = ds.split_index
-    tracemalloc.start()
-    try:
-        fit(ModelConfig(), states[:split], controls[:split])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert abs(estimate - peak) <= 0.02 * peak
+    for flags, config in [([], ModelConfig()),
+                          (["--horizon", "8", "--stride", "4"], ModelConfig(horizon=8, stride=4))]:
+        out = tmp_path / f"o{len(flags)}"
+        assert cli.main(["train", "--dataset", "lorenz", *flags, "--out", str(out)]) == cli.EXIT_OK
+        estimate = json.loads((out / "report.json").read_text())["memory_bytes_estimate"]
+        peak = traced_peak(fit, config, states[:split], controls[:split])
+        assert abs(estimate - peak) <= 0.02 * peak, flags
 
 
 def test_import_loads_no_scipy():

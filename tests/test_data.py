@@ -123,13 +123,27 @@ def test_csv_cells_parse_as_python_floats(tmp_path, caplog):
         writer = csv.writer(fh)
         writer.writerow(["ok", *rejected])
         for i, cell in enumerate(parsed):
-            writer.writerow([cell, *(v if i == 2 else "1" for v in rejected.values())])
+            writer.writerow([cell, *(v if i == 0 else "1" for v in rejected.values())])
     with caplog.at_level(logging.INFO, logger="kooba.data"):
         names, table = load_csv(path)
     assert names == ["ok"]
     np.testing.assert_array_equal(table[:, 0], [float(c) for c in parsed])
     assert [r.getMessage() for r in caplog.records] == [
         f"dropped non-numeric column {name!r}" for name in rejected]
+
+
+@pytest.mark.parametrize("cell", ["", "0x10", "n/a"])
+def test_csv_rejects_a_later_non_numeric_cell_in_a_numeric_column(tmp_path, cell):
+    # a column whose first cell is a number is numeric: a later cell that is
+    # not one is an error, not a reason to drop the column
+    path = tmp_path / "gap.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerows([["a", "b"], ["0.5", "1"], ["0.6", "2"], ["0.7", cell], ["0.8", "4"]])
+    with pytest.raises(InputError) as info:
+        load_csv(path)
+    assert str(info.value) == (f"numeric column 'b' of {path} holds the cell {cell!r} on line 4, "
+                               f"which is not a number")
 
 
 def test_csv_drops_unusable_columns(tmp_path):

@@ -1,6 +1,5 @@
 import dataclasses
 import json
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,10 +13,10 @@ from kooba import (ConfigError, DegenerateCoefficientsError, InputError,
                    load_model, normalize, predict, save_model, split_controls,
                    window_count, window_loss_grad)
 from kooba.hippo import CoefficientState, project
-from kooba.model import (CHUNK_ROWS, FlightKoobaModel, _epochs_per_block, build_basis,
-                         featurize)
+from kooba.model import (CHUNK_ROWS, FlightKoobaModel, _descend, _epochs_per_block,
+                         _rollout, build_basis, featurize, normal_equations)
 
-from conftest import realizable_series
+from conftest import realizable_series, traced_peak
 
 GOLDEN = Path(__file__).parent / "data" / "golden_model.json"
 
@@ -451,20 +450,20 @@ def descent_series(request):
     return config, states, ctrl, _reference_pieces(config, states, ctrl)
 
 
-@pytest.mark.parametrize("batch_size, epochs", [(7, 6), (100, 6), (1, 6), (9, 7)],
+@pytest.mark.parametrize("batch_size, epochs", [(7, 6), (100, 6), (1, 6), (2, 21)],
                          ids=["ragged", "one-batch", "one-window", "blocks"])
 def test_fit_matches_per_window_descent(batch_size, epochs, descent_series):
     # 73 windows: batches of 7 leave a last batch of 3, 100 makes one batch
     # (a scan with no levels), 1 makes 73 batches (seven levels); with two
     # controls the composed maps are 2x2 matrices, whose order matters.
-    # Batches of 9 (a last batch of 1) over 7 epochs run as three or more
+    # Batches of 2 (a last batch of 1) over 21 epochs run as three or more
     # blocks of epochs, the last one partial.
     base, states, ctrl, (alpha, G, y) = descent_series
     config = dataclasses.replace(base, epochs=epochs, batch_size=batch_size,
                                  learning_rate=0.05, seed=5)
     assert alpha.shape[0] == 73
-    if batch_size == 9:
-        block = _epochs_per_block(config, 73, 2, alpha.nbytes + G.nbytes)
+    if batch_size == 2:
+        block = _epochs_per_block(config, 73, 2)
         assert -(-epochs // block) >= 3 and epochs % block
     b_ref, loss_ref = _reference_sgd(config, alpha, G, y)
     model = fit(config, states, ctrl)
@@ -519,31 +518,71 @@ def test_fewer_epochs_give_a_prefix_of_the_loss_history(lorenz_train):
     # end, one epoch after it or inside a later block changes no earlier epoch
     states, controls = lorenz_train
     config = ModelConfig()
-    alpha, G, _, _ = featurize(config, states, controls)
-    block = _epochs_per_block(config, *alpha.shape[:2], alpha.nbytes + G.nbytes)
-    assert 2 < block < 22 and 23 % block
+    block = _epochs_per_block(config, normal_equations(config, states, controls).table.shape[0],
+                              states.shape[1])
+    assert 7 <= block < 22 and 23 % block
     full = fit(config, states, controls).loss_history
     for k in (1, 2, block, block + 1, 23):
         assert fit(dataclasses.replace(config, epochs=k), states, controls).loss_history == full[:k]
 
 
 @pytest.mark.parametrize("controls", [1, 2])
-def test_fit_allocates_no_more_than_featurize(controls, lorenz_ds):
+def test_fit_allocates_no_more_than_the_table_build(controls, lorenz_ds):
     # the epochs must not set fit's high-water mark: a block of them takes at
-    # most the bytes of the featurize output that fit frees before them
+    # most the bytes of the chunk temporaries that the table build frees
     states, ctrl = split_controls(lorenz_ds, controls)
     states, ctrl = states[:lorenz_ds.split_index], ctrl[:lorenz_ds.split_index]
-    config = ModelConfig(controls=controls)
-    fit(config, states, ctrl)           # the first call imports numpy.random
-    peaks = []
-    for run in (fit, featurize):
-        tracemalloc.start()
-        try:
-            run(config, states, ctrl)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert peaks[0] <= 1.01 * peaks[1]
+    for horizon in (1, 8):
+        config = ModelConfig(controls=controls, horizon=horizon)
+        build = traced_peak(normal_equations, config, states, ctrl)
+        assert traced_peak(fit, config, states, ctrl) <= 1.01 * build, horizon
+
+
+def test_fit_never_holds_the_whole_regression(lorenz_train):
+    # fit reduces each chunk of windows into its table rows as the chunk is
+    # rolled out, so at h = 8 its peak is below featurize's alpha and G alone
+    states, controls = lorenz_train
+    config = ModelConfig(horizon=8)
+    alpha, G, _, _ = featurize(config, states, controls)
+    assert traced_peak(fit, config, states, controls) < alpha.nbytes + G.nbytes
+
+
+def _descend_on_featurize(config, states, controls):
+    """fit's result from a table of featurize's whole regression, or its abort message."""
+    alpha, G, y, skipped = featurize(config, states, controls)
+    residual = alpha - y
+    n_win = residual.shape[0]
+    table = np.concatenate([(G.swapaxes(-1, -2) @ G).reshape(n_win, -1),
+                            (residual[..., None, :] @ G).reshape(n_win, -1),
+                            np.einsum("wfh,wfh->w", residual, residual)[:, None]], axis=1)
+    try:
+        b, history = _descend(config, table)
+    except TrainingAbortedError as exc:
+        return str(exc), skipped
+    return (b.tobytes(), history), skipped
+
+
+@pytest.mark.parametrize("config, aborts", [
+    (ModelConfig(), False), (ModelConfig(horizon=8), False), (ModelConfig(controls=2), False),
+    (ModelConfig(controls=2, horizon=8), False), (ModelConfig(order=12), False),
+    (ModelConfig(horizon=8, learning_rate=1.0), True),
+    (ModelConfig(controls=2, horizon=8, learning_rate=2.0), True),
+], ids=["h1-m1", "h8-m1", "h1-m2", "h8-m2", "order-12", "h8-m1-abort", "h8-m2-abort"])
+def test_streamed_fit_matches_descent_on_the_whole_regression(config, aborts, lorenz_ds):
+    # at order 12 the 10 undefined window x feature rows fall into different
+    # chunks; the abort cases compare the message
+    states, ctrl = split_controls(lorenz_ds, config.controls)
+    states, ctrl = states[:lorenz_ds.split_index], ctrl[:lorenz_ds.split_index]
+    expected, skipped = _descend_on_featurize(config, states, ctrl)
+    assert isinstance(expected, str) == aborts
+    if aborts:
+        with pytest.raises(TrainingAbortedError) as info:
+            fit(config, states, ctrl)
+        assert str(info.value) == expected
+        return
+    model = fit(config, states, ctrl)
+    assert (model.b.tobytes(), model.loss_history) == expected
+    assert model.skipped_windows == skipped
 
 
 def test_singular_windows_are_skipped_like_the_pivoted_lu_check(lorenz_train):
@@ -575,6 +614,14 @@ def test_singular_windows_are_skipped_like_the_pivoted_lu_check(lorenz_train):
     model = fit(config, states, controls)
     assert model.skipped_windows == np.count_nonzero(flagged.any(axis=1))
     assert np.all(np.isfinite(model.b))
+    # featurize keeps the other windows, in order, across the chunks the
+    # undefined ones fall into: one rollout of them all gives its pieces
+    usable = ~flagged.any(axis=1)
+    reg = featurize(config, states, controls)
+    starts = 8 * np.arange(flagged.shape[0])[usable]
+    np.testing.assert_array_equal(reg.y, states[starts + 8][:, :, None])
+    alpha, G, _ = _rollout(config, coeffs[usable], controls[starts + 8][:, None, None, :])
+    assert _rel(reg.alpha, alpha) < 1e-12 and _rel(reg.G, G) < 1e-12
     w, f = np.argwhere(flagged)[0]
     with pytest.raises(NumericalError, match="singular"):
         predict(model, project(basis, states[8 * w:8 * w + 8, f]),
@@ -626,7 +673,7 @@ def test_fit_aborts_where_a_sequential_loop_does(config, later, lorenz_train):
     assert expected is not None
     if later:
         epoch = int(expected.split(",")[0].rsplit(" ", 1)[1])
-        assert epoch >= _epochs_per_block(config, *alpha.shape[:2], alpha.nbytes + G.nbytes)
+        assert epoch >= _epochs_per_block(config, *alpha.shape[:2])
     with pytest.raises(TrainingAbortedError) as info:
         fit(config, states, controls)
     assert str(info.value) == expected
