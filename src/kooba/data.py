@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import io
 import logging
 from array import array
 from dataclasses import dataclass
@@ -75,18 +76,49 @@ def _is_float(cell: str) -> bool:
     return True
 
 
-def load_csv(path) -> tuple[list[str], np.ndarray]:
-    """Parse a headed CSV, keeping only numeric, non-constant columns.
+def _read_plain(text: str):
+    """np.loadtxt's reading of a plain file, or None for any other file.
 
-    A column whose first data cell is not a number is text and is dropped;
-    every dropped column gets one log line. A later cell that is not a
-    number in a numeric column (a blank one, say) raises InputError naming
-    the column, its file line and the cell. Unreadable files raise OSError;
-    content problems raise InputError.
+    Returns the header, the first data row's numeric flags and a column
+    getter. A file is plain when it has no quote character, no line break
+    but LF or CRLF, no blank line, a data row, rows as wide as the header,
+    and numeric cells that np.loadtxt reads (it rejects some that float()
+    reads, such as '1_0'). np.loadtxt parses a cell with CPython's
+    PyOS_string_to_double, as float() does, so the numbers are the csv
+    path's.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        rows = list(reader)
+    if '"' in text:
+        return None
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()               # the final line break ends the last row
+    if len(lines) < 2 or "" in lines or "\r" in lines:
+        return None
+    # np.loadtxt takes a CR that ends a line as part of the break and rejects
+    # any other CR in the rows it parses, but it skips the header
+    head, row = (line.removesuffix("\r") for line in lines[:2])
+    header, first = head.split(","), row.split(",")
+    if "\r" in head or len(first) != len(header):
+        return None
+    numeric = [_is_float(cell) for cell in first]
+    # text columns are dropped, but keeping them in the parse makes loadtxt
+    # check every row's width against the first's, which usecols would not
+    ignored = {j: (lambda cell: 0.0) for j, num in enumerate(numeric) if not num}
+    try:
+        table = np.loadtxt(lines, delimiter=",", comments=None, skiprows=1, ndmin=2,
+                           converters=ignored)
+    except ValueError:
+        return None
+    return header, numeric, lambda j: table[:, j]
+
+
+def _read_csv(path, text: str):
+    """Header, first-row numeric flags and column getter by the csv module.
+
+    The getter parses a column with Python's float() and raises InputError
+    naming the first cell that is not a number.
+    """
+    rows = list(csv.reader(io.StringIO(text, newline="")))
     if not rows:
         raise InputError(f"empty file: {path}")
     header, body = rows[0], rows[1:]
@@ -97,19 +129,45 @@ def load_csv(path) -> tuple[list[str], np.ndarray]:
         if len(row) != width:
             raise InputError(f"ragged row {i + 2} in {path}: {len(row)} fields, expected {width}")
 
+    def column(j: int) -> np.ndarray:
+        try:
+            # numpy parses each string cell with Python's own float()
+            return np.array([row[j] for row in body], dtype=float)
+        except ValueError:
+            i = next(i for i, row in enumerate(body) if not _is_float(row[j]))
+            raise InputError(f"numeric column {header[j]!r} of {path} holds the cell "
+                             f"{body[i][j]!r} on line {i + 2}, which is not a number") from None
+
+    return header, [_is_float(cell) for cell in body[0]], column
+
+
+def load_csv(path) -> tuple[list[str], np.ndarray]:
+    """Parse a headed UTF-8 CSV, keeping only numeric, non-constant columns.
+
+    A column whose first data cell is not a number is text and is dropped;
+    every dropped column gets one log line. A later cell that is not a
+    number in a numeric column (a blank one, say) raises InputError naming
+    the column, its file line and the cell. A leading byte order mark is
+    not part of the first name. Unreadable files raise OSError; content
+    problems raise InputError.
+
+    Cells read as Python's float() reads them, and fields, quoting and line
+    breaks as the csv module reads them. A plain file (no quote character,
+    LF or CRLF line breaks, no blank line, every row as wide as the header,
+    every numeric cell in a form np.loadtxt reads) is parsed by np.loadtxt;
+    every other file, and every error, comes from the csv module path. Both
+    give the same names, bytes and log lines.
+    """
+    with open(path, "rb") as fh:
+        text = fh.read().decode("utf-8-sig")
+    header, numeric, column = _read_plain(text) or _read_csv(path, text)
     names: list[str] = []
     cols: list[np.ndarray] = []
     for j, name in enumerate(header):
-        if not _is_float(body[0][j]):
+        if not numeric[j]:
             log.info("dropped non-numeric column %r", name)
             continue
-        try:
-            # numpy parses each string cell with Python's own float()
-            col = np.array([row[j] for row in body], dtype=float)
-        except ValueError:
-            i = next(i for i, row in enumerate(body) if not _is_float(row[j]))
-            raise InputError(f"numeric column {name!r} of {path} holds the cell "
-                             f"{body[i][j]!r} on line {i + 2}, which is not a number") from None
+        col = column(j)
         if np.min(col) == np.max(col):
             log.info("dropped constant column %r", name)
             continue
@@ -121,12 +179,14 @@ def load_csv(path) -> tuple[list[str], np.ndarray]:
 
 
 def save_csv(path, names: list[str], table: np.ndarray) -> None:
-    """Write a feature table in the same schema load_csv reads."""
+    """Write a feature table in the same schema load_csv reads.
+
+    Each cell is the repr of its float, which reads back bit for bit.
+    """
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(names)
-        for row in np.asarray(table, dtype=float):
-            writer.writerow([repr(float(v)) for v in row])
+        writer.writerows(np.asarray(table, dtype=float).tolist())
 
 
 @dataclass(frozen=True)
@@ -167,7 +227,8 @@ def normalize(names: list[str], table: np.ndarray) -> TimeSeriesDataset:
     cmax = table[:split].max(axis=0)
     flat = np.nonzero(cmax == cmin)[0]
     if flat.size:
-        raise InputError(f"constant column {names[flat[0]]!r} should have been dropped")
+        raise InputError(f"column {names[flat[0]]!r} is constant over the train split "
+                         f"(the first {split} rows), so it cannot be scaled")
     features = (table - cmin) / (cmax - cmin)
     return TimeSeriesDataset(names=list(names), features=features,
                              split_index=split, col_min=cmin, col_max=cmax)

@@ -281,6 +281,18 @@ def test_blank_csv_cell_exits_2(tmp_path, synthetic_csv, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_column_constant_over_the_train_split_exits_2(tmp_path, capsys):
+    # b varies over the file, so load_csv keeps it, but not over the 7 train rows
+    t = np.arange(10, dtype=float)
+    path = tmp_path / "late.csv"
+    save_csv(path, ["a", "b", "u"], np.column_stack([np.sin(t), np.where(t < 7, 0.0, t), np.cos(t)]))
+    rc = cli.main(["train", "--dataset", f"csv:{path}", "--out", str(tmp_path / "o")])
+    assert rc == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == ("error: column 'b' is constant over the train split "
+                                       "(the first 7 rows), so it cannot be scaled\n")
+    assert not (tmp_path / "o").exists()
+
+
 def test_train_without_a_usable_window_exits_2(tmp_path, capsys):
     # the state column is zero over every training history (rows 0-63 of the
     # 70-row train split), so every training window is skipped

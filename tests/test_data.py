@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from kooba import (ConfigError, InputError, LorenzParams, NumericalError, gen_lorenz,
+from kooba import (ConfigError, InputError, LorenzParams, NumericalError, data, gen_lorenz,
                    load_csv, normalize, save_csv, split_controls, window_count, windows)
 
 EQUILIBRIUM = (np.sqrt(72.0), np.sqrt(72.0), 27.0)
@@ -115,6 +115,103 @@ def test_csv_round_trip(tmp_path):
     assert loaded.tobytes() == table.tobytes()
 
 
+def test_csv_text_is_exact(tmp_path):
+    # each cell is the shortest repr that reads back to the same float
+    path = tmp_path / "t.csv"
+    save_csv(path, ["a", "b"], np.array([[-0.0, 5e-324], [1e308, np.nextafter(1.0, 2.0)]]))
+    assert path.read_bytes() == b"a,b\r\n-0.0,5e-324\r\n1e+308,1.0000000000000002\r\n"
+
+
+TRACK = ("phase,x_km,squawk,alt_m\n"
+         + "".join(f"{'climb' if i % 3 else 'cruise'},{0.25 * i - 1.0!r},7000,{3000.0 + 7.5 * i!r}\n"
+                   for i in range(40)))
+CELLS = {"underscore": "1_0", "arabic": "\u0661\u0662", "spaced": " 1.5 ", "tiny": "1e-400",
+         "huge": "1e500", "-inf": "-inf", "empty": "", "hex": "0x10"}
+ONLY_FLOAT_READS = {"underscore", "arabic"}     # np.loadtxt rejects these numbers
+NOT_NUMBERS = {"empty", "hex"}
+
+# file text -> whether np.loadtxt serves it (True) or the csv path (False)
+CSV_CORPUS = {
+    "track": (TRACK, True),
+    "crlf-no-final-newline": (TRACK.replace("\n", "\r\n").removesuffix("\r\n"), True),
+    "lone-cr": (TRACK.replace("\n", "\r"), False),
+    "lone-cr-in-header": ("t\ra,b\n1,2\n3,4\n", False),
+    "lone-cr-in-row": ("a,b\n1,2\r3,4\n5,6\n", False),
+    "byte-order-mark": ("\ufeff" + TRACK, True),
+    "blank-line-mid": (TRACK.replace("\n", "\n\n", 5).replace("\n\n", "\n", 4), False),
+    "blank-line-end": (TRACK + "\n", False),
+    "blank-line-crlf": ((TRACK + "\n" + TRACK.split("\n", 1)[1]).replace("\n", "\r\n"), False),
+    "space-line": (TRACK.replace("\n", "\n \n", 3).replace("\n \n", "\n", 2), False),
+    "short-row": (TRACK + "climb,1.5,7000\n" + TRACK.split("\n", 1)[1], False),
+    "long-row": (TRACK + "climb,1.5,7000,1.0,2.0\n", False),
+    "rows-wider-than-header": ("a,b\n1,2,3\n4,5,6\n", False),
+    "rows-narrower-than-header": ("a,b,c\n1,2\n4,5\n", False),
+    "quoted-number": (TRACK.replace(",7000,3150.0", ',7000,"3150.0"'), False),
+    # split at the comma or the line break, each quoted cell would still
+    # leave rows of the header's width
+    "quoted-comma": ('p,q,a\nx,y,1\n"x,y",2\nx,y,3\n', False),
+    "quoted-newline": ('a,t\n1,x\n2,"y\n3,z"\n4,w\n', False),
+    "hash-first-cell": ("a,b\n#1,2\n3,4\n5,6\n", True),
+    "hash-later-cell": ("a,b\n1,2\n#3,4\n5,6\n", False),
+    # in the first data row a cell decides whether its column is text
+    **{f"first-{k}": (f"a,b\n{v},1\n2,3\n4,5\n", k not in ONLY_FLOAT_READS)
+       for k, v in CELLS.items()},
+    **{f"later-{k}": (f"a,b\n1,2\n{v},3\n4,5\n", k not in ONLY_FLOAT_READS | NOT_NUMBERS)
+       for k, v in CELLS.items()},
+    "one-column": ("a\n1\n2\n3\n", True),
+    "one-row": ("a,b\n1,2\n", True),
+    "text-only": ("a\nx\ny\n", True),
+    "header-only": ("a,b\n", False),
+    "empty": ("", False),
+}
+
+
+def _load_outcome(path, caplog):
+    caplog.clear()
+    try:
+        names, table = load_csv(path)
+        result = (names, table.tobytes())
+    except Exception as exc:
+        result = (type(exc), str(exc))
+    return result, [r.getMessage() for r in caplog.records]
+
+
+@pytest.mark.parametrize("case", CSV_CORPUS)
+def test_load_csv_matches_the_csv_path_alone(tmp_path, caplog, monkeypatch, case):
+    text, plain = CSV_CORPUS[case]
+    path = tmp_path / "f.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert (data._read_plain(text.removeprefix("\ufeff")) is not None) == plain
+    with caplog.at_level(logging.INFO, logger="kooba.data"):
+        served = _load_outcome(path, caplog)
+        monkeypatch.setattr(data, "_read_plain", lambda text: None)
+        assert served == _load_outcome(path, caplog)
+
+
+def test_plain_csv_never_reaches_the_csv_path(tmp_path, monkeypatch):
+    path = tmp_path / "track.csv"
+    path.write_text(TRACK, encoding="utf-8")
+
+    def refuse(path, text):
+        raise AssertionError("the csv path parsed a plain file")
+
+    monkeypatch.setattr(data, "_read_csv", refuse)
+    names, table = load_csv(path)
+    assert names == ["x_km", "alt_m"]
+    np.testing.assert_array_equal(table, [[0.25 * i - 1.0, 3000.0 + 7.5 * i] for i in range(40)])
+
+
+@pytest.mark.parametrize("plain", [True, False], ids=["loadtxt", "csv-module"])
+def test_csv_byte_order_mark_is_not_part_of_the_first_name(tmp_path, monkeypatch, plain):
+    # spreadsheet "CSV UTF-8" exports begin with one
+    path = tmp_path / "bom.csv"
+    path.write_text("\ufeffx,y\n1,2\n3,5\n", encoding="utf-8")
+    if not plain:
+        monkeypatch.setattr(data, "_read_plain", lambda text: None)
+    names, _ = load_csv(path)
+    assert names == ["x", "y"]
+
+
 def test_csv_cells_parse_as_python_floats(tmp_path, caplog):
     parsed = ["1_0", " 1.5 ", "\u0661\u0662", "nan", "1e-400", "-inf"]
     rejected = {"empty": "", "hex": "0x10", "comma": "1,5"}
@@ -205,6 +302,11 @@ def test_normalize_guards():
         normalize(["a", "b"], np.ones((4, 1)))
     with pytest.raises(InputError):
         normalize(["a"], np.ones((4, 1)))  # constant column
+    # a column that varies only after the train split cannot be scaled either
+    with pytest.raises(InputError) as info:
+        normalize(["a", "b"], np.column_stack([np.arange(10.0), np.arange(10.0) > 6]))
+    assert str(info.value) == ("column 'b' is constant over the train split (the first 7 rows), "
+                               "so it cannot be scaled")
     # one non-finite cell, even in the test split, would poison its column
     for value in (np.nan, np.inf, -np.inf):
         table = np.column_stack([np.arange(10.0), np.arange(10.0) ** 2])
