@@ -90,8 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
         # each model flag's dest is the ModelConfig field it sets (make_config)
         p.add_argument("--method", choices=["legt", "legs"])
         p.add_argument("--order", type=int)
-        p.add_argument("--omega", type=float)
-        p.add_argument("--dt", dest="dt_basis", type=float, help="projection step size")
         p.add_argument("--controls", type=int)
         p.add_argument("--seq-len", dest="seq_len", type=int)
         p.add_argument("--epochs", type=int)
@@ -145,7 +143,6 @@ def config_echo(config: ModelConfig) -> dict:
     doc = asdict(config)
     doc["omega_effective"] = config.eff_omega
     doc["dt_basis_effective"] = config.eff_dt_basis
-    doc["dt_system_effective"] = config.eff_dt_system
     doc["stride_effective"] = config.eff_stride
     return doc
 

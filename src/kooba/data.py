@@ -149,7 +149,7 @@ def load_csv(path) -> tuple[list[str], np.ndarray]:
     number in a numeric column (a blank one, say) raises InputError naming
     the column, its file line and the cell. A leading byte order mark is
     not part of the first name. Unreadable files raise OSError; content
-    problems raise InputError.
+    problems, bytes that are not UTF-8 among them, raise InputError.
 
     Cells read as Python's float() reads them, and fields, quoting and line
     breaks as the csv module reads them. A plain file (no quote character,
@@ -158,8 +158,11 @@ def load_csv(path) -> tuple[list[str], np.ndarray]:
     every other file, and every error, comes from the csv module path. Both
     give the same names, bytes and log lines.
     """
-    with open(path, "rb") as fh:
-        text = fh.read().decode("utf-8-sig")
+    try:
+        with open(path, "rb") as fh:
+            text = fh.read().decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text: {exc}") from None
     header, numeric, column = _read_plain(text) or _read_csv(path, text)
     names: list[str] = []
     cols: list[np.ndarray] = []

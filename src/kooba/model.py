@@ -44,15 +44,13 @@ MODEL_FORMAT = 1
 # removed options that format-1 files may still carry: load_model drops each
 # at its old default, given here, and rejects any other value
 REMOVED_CONFIG_KEYS = {"momentum": 0.0, "teacher_forcing": False, "extended_order": False,
-                       "s0": 1.0, "dt_system": None}
+                       "s0": 1.0, "dt_system": None, "omega": None, "dt_basis": None}
 
 
 @dataclass(frozen=True)
 class ModelConfig:
     method: str = "legs"
     order: int = 6
-    omega: float | None = None        # legt window length; defaults to seq_len * dt_basis
-    dt_basis: float | None = None     # projection step; defaults to 2 / seq_len
     controls: int = 1
     seq_len: int = 8
     horizon: int = 1
@@ -85,10 +83,9 @@ class ModelConfig:
             raise ConfigError(f"stride must be positive, got {self.stride}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
-        for name in ("learning_rate", "omega", "dt_basis"):
-            v = getattr(self, name)
-            if v is not None and not 0 < v < math.inf:
-                raise ConfigError(f"{name} must be positive and finite, got {v}")
+        if not 0 < self.learning_rate < math.inf:
+            raise ConfigError(f"learning_rate must be positive and finite, "
+                              f"got {self.learning_rate}")
 
     @property
     def eff_stride(self) -> int:
@@ -96,19 +93,15 @@ class ModelConfig:
 
     @property
     def eff_dt_basis(self) -> float:
-        # one window of seq_len samples spans the length-2 canonical domain
-        return 2.0 / self.seq_len if self.dt_basis is None else self.dt_basis
-
-    @property
-    def eff_dt_system(self) -> float:
-        # the forecast step: one sample of the length-2 window domain
+        # the projection and forecast step: one window of seq_len samples
+        # spans the length-2 canonical domain
         return 2.0 / self.seq_len
 
     @property
     def eff_omega(self) -> float | None:
-        if self.method != "legt":
-            return None
-        return self.seq_len * self.eff_dt_basis if self.omega is None else self.omega
+        # legt's window is the seq_len samples; this product is not always
+        # 2.0 in floating point (seq_len = 49), and the fitted bits follow it
+        return self.seq_len * self.eff_dt_basis if self.method == "legt" else None
 
 
 def build_basis(config: ModelConfig) -> hippo.HippoBasis:
@@ -176,7 +169,7 @@ def _rollout(config: ModelConfig, a: np.ndarray,
     (koopman.companion_discrete).
     """
     h = u_future.shape[-2]
-    abar, w, ok = koopman.companion_discrete(a, config.eff_dt_system)
+    abar, w, ok = koopman.companion_discrete(a, config.eff_dt_basis)
     carry = np.empty(w.shape[:-1] + (h + 1,) + w.shape[-1:] + (2,))   # (..., h+1, n, 2)
     carry[..., 0, :, 0] = _lift(config.order)
     carry[..., 0, :, 1] = w
@@ -482,7 +475,7 @@ def predict(model: FlightKoobaModel, c_state: hippo.CoefficientState,
                          f"{config.order} needs {config.order + 1} coefficients")
     a = koopman.poly_ode_coeffs(c)
     alpha, G, ok = _rollout(config, a, u_future)
-    koopman.require_defined(a, ok, config.eff_dt_system)
+    koopman.require_defined(a, ok, config.eff_dt_basis)
     out = alpha + G @ model.b[feature]
     if not np.all(np.isfinite(out)):
         raise NumericalError("non-finite forecast")
@@ -524,6 +517,8 @@ def load_model(path) -> FlightKoobaModel:
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"model file {path} is not UTF-8 text: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"model file {path} is not valid JSON "
                               f"(expected format version {MODEL_FORMAT}): {exc}") from exc

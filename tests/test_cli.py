@@ -20,6 +20,10 @@ from kooba.data import save_csv
 from conftest import traced_peak
 
 
+# a CSV whose last header cell is Latin-1, not UTF-8
+LATIN1_CSV = b"a,b,caf\xe9\n0.1,0.2,0.3\n0.4,0.5,0.6\n0.7,0.8,0.9\n"
+
+
 @pytest.fixture
 def synthetic_csv(tmp_path):
     t = np.arange(300, dtype=float)
@@ -121,15 +125,18 @@ def test_bench_checks_every_spec_before_running(tmp_path, synthetic_csv, capsys)
 
 
 def test_bench_keeps_going_after_a_bad_dataset(tmp_path, synthetic_csv):
+    latin1 = tmp_path / "latin1.csv"
+    latin1.write_bytes(LATIN1_CSV)
     out = tmp_path / "bench"
     rc = cli.main(["bench", "--dataset", "csv:does-not-exist.csv",
-                   "--dataset", f"csv:{synthetic_csv}",
+                   "--dataset", f"csv:{latin1}", "--dataset", f"csv:{synthetic_csv}",
                    "--epochs", "3", "--out", str(out)])
     assert rc == cli.EXIT_OK  # one dataset still succeeded
     doc = json.loads((out / "bench_report.json").read_text())
     assert cli.validate_report(doc) == []
     assert "error" in doc["rows"][0]
-    assert "error" not in doc["rows"][1]
+    assert "is not UTF-8 text" in doc["rows"][1]["error"]
+    assert "error" not in doc["rows"][2]
 
 
 def test_bench_all_failures_returns_error_code(tmp_path):
@@ -172,16 +179,15 @@ def test_unexpected_errors_are_not_mapped():
 def test_renamed_flags_reach_their_fields(tmp_path, synthetic_csv):
     out = tmp_path / "out"
     rc = cli.main(["train", "--dataset", f"csv:{synthetic_csv}", "--epochs", "2",
-                   "--lr", "0.02", "--dt", "0.3", "--batch-size", "5",
+                   "--lr", "0.02", "--batch-size", "5",
                    "--seq-len", "10", "--stride", "3", "--out", str(out)])
     assert rc == cli.EXIT_OK
     config = json.loads((out / "report.json").read_text())["config"]
     assert config["learning_rate"] == 0.02
-    assert config["dt_basis"] == 0.3 and config["dt_basis_effective"] == 0.3
     assert config["batch_size"] == 5
     assert config["seq_len"] == 10
     assert config["stride"] == 3 and config["stride_effective"] == 3
-    assert config["dt_system_effective"] == pytest.approx(2.0 / 10)
+    assert config["dt_basis_effective"] == pytest.approx(2.0 / 10)
 
 
 def _subparsers() -> dict:
@@ -227,13 +233,15 @@ def test_diverging_training_exits_3_with_the_abort_message(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["train", "bench"])
 def test_config_file_flag_is_gone(tmp_path, synthetic_csv, command):
+    # so are --omega and --dt: seq_len alone sets the projection's timescale
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"order": 5}', encoding="utf-8")
-    with pytest.raises(SystemExit) as exc:
-        cli.main([command, "--dataset", f"csv:{synthetic_csv}", "--config", str(cfg),
-                  "--out", str(tmp_path / "o")])
-    assert exc.value.code == cli.EXIT_CONFIG
-    assert not (tmp_path / "o").exists()
+    for flag in (["--config", str(cfg)], ["--omega", "4"], ["--dt", "0.3"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--dataset", f"csv:{synthetic_csv}", *flag,
+                      "--out", str(tmp_path / "o")])
+        assert exc.value.code == cli.EXIT_CONFIG, flag
+        assert not (tmp_path / "o").exists()
 
 
 def test_corrupted_model_file(tmp_path, synthetic_csv):
@@ -245,9 +253,32 @@ def test_corrupted_model_file(tmp_path, synthetic_csv):
     assert rc == cli.EXIT_CONFIG
 
 
-@pytest.mark.parametrize("flags", [["--lr", "nan"], ["--dt", "nan"],
-                                   ["--method", "legt", "--omega", "inf"], ["--seed", "-1"]],
-                         ids=["lr-nan", "dt-nan", "legt-omega-inf", "seed-negative"])
+@pytest.mark.parametrize("argv, code", [
+    (["train", "--dataset", "csv:{dir}/latin1.csv"], cli.EXIT_CONFIG),
+    (["eval", "--model", "{dir}/latin1.json", "--dataset", "lorenz"], cli.EXIT_CONFIG),
+    (["train", "--dataset", "csv:{dir}/tracks"], cli.EXIT_IO),
+    (["eval", "--model", "{dir}/format99.json", "--dataset", "lorenz"], cli.EXIT_CONFIG),
+    (["train", "--dataset", "csv"], cli.EXIT_CONFIG),
+], ids=["non-utf8-csv", "non-utf8-model", "directory-as-csv", "model-format-99",
+        "bad-dataset-spec"])
+def test_bad_input_exits_with_its_code_and_no_traceback(tmp_path, capsys, argv, code):
+    # the console entry point is sys.exit(main()), so main returning a code,
+    # not raising, is what keeps a traceback off stderr
+    (tmp_path / "latin1.csv").write_bytes(LATIN1_CSV)
+    (tmp_path / "latin1.json").write_bytes(b'{"format": 1, "config": {"method": "l\xe9gs"}}')
+    (tmp_path / "format99.json").write_text('{"format": 99, "config": {}, "b": []}',
+                                            encoding="utf-8")
+    (tmp_path / "tracks").mkdir()
+    out = tmp_path / "o"
+    rc = cli.main([arg.format(dir=tmp_path) for arg in argv] + ["--out", str(out)])
+    assert rc == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [["--lr", "nan"], ["--seed", "-1"]],
+                         ids=["lr-nan", "seed-negative"])
 def test_invalid_model_flag_value_exits_2(tmp_path, synthetic_csv, flags):
     rc = cli.main(["train", "--dataset", f"csv:{synthetic_csv}", *flags,
                    "--out", str(tmp_path / "o")])

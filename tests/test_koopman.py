@@ -164,7 +164,7 @@ def test_discretization_matches_an_exact_inverse(method, lorenz_table):
     # the closed form against exact rational elimination, on projected Lorenz
     # windows: at orders 12 and 13 the guard rejects some or all of them, and
     # those must come back as zeros
-    dt = ModelConfig().eff_dt_system
+    dt = ModelConfig().eff_dt_basis
     for order in range(1, 14):
         a = _lorenz_coeffs(lorenz_table, method, order)
         abar, w, ok = companion_discrete(a, dt)
@@ -202,7 +202,7 @@ def test_discretization_matches_lapack():
 def test_discretization_of_a_batch_is_bit_identical(lorenz_table):
     # featurize discretizes whole chunks and predict one system: both must
     # give the same numbers and the same validity flags
-    dt = ModelConfig().eff_dt_system
+    dt = ModelConfig().eff_dt_basis
     for method, order in (("legs", 1), ("legs", 6), ("legt", 9), ("legt", 12), ("legs", 13)):
         a = _lorenz_coeffs(lorenz_table, method, order)[:20]
         abar, w, ok = companion_discrete(a, dt)
@@ -359,7 +359,7 @@ def test_companion_eigenvalues_are_the_ode_roots(method, lorenz_table):
 def test_bilinear_rollout_converges_to_the_exponential(method, lorenz_table):
     # control free, Abar^t after t steps of dt approximates expm(A t dt) with
     # an O(dt^2) error over a fixed span: halving dt divides it by 4
-    span = ModelConfig().eff_dt_system
+    span = ModelConfig().eff_dt_basis
     for order in range(1, 14):
         a = _lorenz_coeffs(lorenz_table, method, order).reshape(-1, order + 1)[::29]
         steps = (4, 8, 16)

@@ -26,11 +26,9 @@ def test_config_defaults_and_effective_values():
     assert config.method == "legs"
     assert config.eff_stride == config.seq_len
     assert config.eff_dt_basis == pytest.approx(2.0 / config.seq_len)
-    assert config.eff_dt_system == pytest.approx(2.0 / config.seq_len)
     assert config.eff_omega is None
     legt = ModelConfig(method="legt", seq_len=10)
     assert legt.eff_omega == pytest.approx(10 * legt.eff_dt_basis)
-    assert ModelConfig(method="legt", omega=3.5).eff_omega == 3.5
 
 
 def test_config_validation():
@@ -242,7 +240,8 @@ def test_save_load_round_trip(tmp_path, realizable_fixture):
     loaded = load_model(path)
     assert loaded.config == model.config
     written = json.loads(path.read_text(encoding="utf-8"))["config"]
-    removed = {"momentum", "teacher_forcing", "extended_order", "s0", "dt_system"}
+    removed = {"momentum", "teacher_forcing", "extended_order", "s0", "dt_system", "omega",
+               "dt_basis"}
     assert not removed & set(written)
     np.testing.assert_array_equal(loaded.b, model.b)
     assert loaded.loss_history == model.loss_history
@@ -285,7 +284,8 @@ def test_golden_model_file_still_loads():
 
 
 @pytest.mark.parametrize("key, value", [("momentum", 0.6), ("teacher_forcing", True),
-                                        ("s0", 0.5), ("dt_system", 0.1)])
+                                        ("s0", 0.5), ("dt_system", 0.1), ("omega", 4.0),
+                                        ("dt_basis", 0.3)])
 def test_model_file_setting_a_removed_option_is_rejected(tmp_path, key, value):
     # the golden file holds every removed option at its old default and loads;
     # any other value names the option and fails like any bad config (exit 2)
@@ -353,7 +353,7 @@ def _smooth_series(n_rows, n_feat, n_ctrl, seed):
 def _reference_rollout(config, c, u_future, b):
     """Forecasts from one coefficient state by propagate/readout steps."""
     a = koopman.poly_ode_coeffs(c)
-    system = koopman.build_system(a, b, config.eff_dt_system)
+    system = koopman.build_system(a, b, config.eff_dt_basis)
     state = koopman.lift_initial_state(config.order)
     out = []
     for u in u_future:
@@ -591,7 +591,7 @@ def test_singular_windows_are_skipped_like_the_pivoted_lu_check(lorenz_train):
     states, controls = lorenz_train
     config = ModelConfig(order=12, epochs=2)
     basis = build_basis(config)
-    dt = config.eff_dt_system
+    dt = config.eff_dt_basis
     flagged = np.zeros((window_count(states.shape[0], 8, 1, 8), 2), dtype=bool)
     coeffs = np.empty(flagged.shape + (13,))
     for w in range(flagged.shape[0]):
