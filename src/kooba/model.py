@@ -10,17 +10,19 @@ rollout is affine in the control weights b, so every window reduces to
 
 with alpha the control-free response and G the per-channel control response.
 One generator (_chunks) rolls the windows out a fixed chunk of window x
-feature rows at a time: featurize gathers the chunks into arrays of every
-window, and predict runs the same rollout on one system. Each window's
-squared error is then a quadratic in b, so fit reduces every window to its
-normal-equation sums (G^T G, G^T (alpha - y) and ||alpha - y||^2) as its
-chunk is rolled out (normal_equations), never holding alpha or G for every
-window, and runs minibatch gradient descent on those sums alone, with the
-exact gradient. Each minibatch step is an affine map of b, and a prefix scan
-composes an epoch's steps as arrays, for a block of epochs at a time.
+feature rows at a time, and predict runs the same rollout on one system.
+Each window's squared error is then a quadratic in b, so fit reduces every
+window to its normal-equation sums (G^T G, G^T (alpha - y) and
+||alpha - y||^2) as its chunk is rolled out (normal_equations), and evaluate
+reduces each chunk to its per-feature sums of squared error; neither holds
+alpha or G for every window. fit runs minibatch gradient descent on those
+sums alone, with the exact gradient. Each minibatch step is an affine map of
+b, and a prefix scan composes an epoch's steps as arrays, for a block of
+epochs at a time.
 window_loss_grad states the same loss and gradient on the affine pieces and
-is the optimizer's reference; closed_form_b solves the same regression
-directly and serves as the oracle for where it converges.
+is the optimizer's reference; closed_form_b stacks every window's pieces,
+solves the same regression directly and serves as the oracle for where it
+converges.
 """
 
 from __future__ import annotations
@@ -83,9 +85,11 @@ class ModelConfig:
             raise ConfigError(f"stride must be positive, got {self.stride}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
-        if not 0 < self.learning_rate < math.inf:
-            raise ConfigError(f"learning_rate must be positive and finite, "
-                              f"got {self.learning_rate}")
+        lr = self.learning_rate
+        if isinstance(lr, bool) or not isinstance(lr, (int, float)):
+            raise ConfigError(f"learning_rate must be a number, got {lr!r}")
+        if not 0 < lr < math.inf:
+            raise ConfigError(f"learning_rate must be positive and finite, got {lr}")
 
     @property
     def eff_stride(self) -> int:
@@ -124,14 +128,6 @@ class FlightKoobaModel:
     @property
     def parameter_count(self) -> int:
         return int(self.b.size)
-
-
-class Regression(NamedTuple):
-    """Affine forecast pieces of every usable window: forecast = alpha + G b."""
-    alpha: np.ndarray       # (W, F, h) control-free forecasts
-    G: np.ndarray           # (W, F, h, m) response to each control weight
-    y: np.ndarray           # (W, F, h) targets
-    skipped: int            # windows dropped for an undefined companion system
 
 
 # window x feature rows per rollout chunk: bounds the (rows, n, n) temporaries
@@ -190,13 +186,16 @@ def _rollout(config: ModelConfig, a: np.ndarray,
     return alpha, toeplitz @ u_future, ok
 
 
-def _chunks(config: ModelConfig, states: np.ndarray, controls: np.ndarray):
+def _chunks(config: ModelConfig, states: np.ndarray, controls: np.ndarray, split: str):
     """Affine pieces of the usable windows, CHUNK_ROWS window x feature rows at a time.
 
-    Yields (alpha, G, y) of each chunk's usable windows, in window order. A
-    window is skipped when any feature's companion system is undefined (a
-    vanishing leading coefficient or a singular I - dt/2 A). y is a view of
-    states when the chunk skips no window.
+    Yields (alpha, G, y) of each chunk's usable windows, in window order:
+    forecast = alpha + G b, with alpha (k, F, h), G (k, F, h, m) and targets
+    y (k, F, h). A window is skipped when any feature's companion system is
+    undefined (a vanishing leading coefficient or a singular I - dt/2 A).
+    alpha and G are new arrays that the caller may overwrite; y is a view of
+    states when the chunk skips no window. Raises InputError, naming the split, once every
+    window is rolled out if none was usable.
     """
     if controls.shape[1] != config.controls:
         raise InputError(f"control matrix has {controls.shape[1]} columns, "
@@ -207,41 +206,23 @@ def _chunks(config: ModelConfig, states: np.ndarray, controls: np.ndarray):
     kernel = hippo.build_kernel(build_basis(config), L)
     zero = hippo.init_state(config.order)
     step = max(1, CHUNK_ROWS // n_feat)
+    n_usable = 0
     for lo in range(0, n_rows, step):
         rows = slice(lo, lo + step)
         a = koopman.poly_ode_coeffs(hippo.block_step(zero, hist[rows], kernel).c)
         alpha, G, ok = _rollout(config, a, u_future[rows, None])
         usable = ok.all(axis=1)
+        n_usable += np.count_nonzero(usable)
         if usable.all():
             yield alpha, G, y[rows]
         else:
             yield alpha[usable], G[usable], y[rows][usable]
+    if n_usable == 0:
+        raise InputError(f"no usable {split} windows ({n_rows} skipped)")
 
 
 def _window_count(config: ModelConfig, states: np.ndarray) -> int:
     return window_count(states.shape[0], config.seq_len, config.horizon, config.eff_stride)
-
-
-def featurize(config: ModelConfig, states: np.ndarray, controls: np.ndarray) -> Regression:
-    """Affine pieces of every usable window as arrays, filled chunk by chunk."""
-    n_win, n_feat, h = _window_count(config, states), states.shape[1], config.horizon
-    alpha = np.empty((n_win, n_feat, h))
-    G = np.empty(alpha.shape + (config.controls,))
-    y = np.empty_like(alpha)
-    n = 0
-    for pieces in _chunks(config, states, controls):
-        k = pieces[0].shape[0]
-        alpha[n:n + k], G[n:n + k], y[n:n + k] = pieces
-        n += k
-    return Regression(alpha=alpha[:n], G=G[:n], y=y[:n], skipped=n_win - n)
-
-
-def _usable_windows(config: ModelConfig, states, controls, split: str) -> Regression:
-    """featurize the given rows, raising unless at least one window is usable."""
-    reg = featurize(config, _as_2d(states, "states"), _as_2d(controls, "controls"))
-    if reg.alpha.shape[0] == 0:
-        raise InputError(f"no usable {split} windows ({reg.skipped} skipped)")
-    return reg
 
 
 def window_loss_grad(alpha: np.ndarray, G: np.ndarray, y: np.ndarray,
@@ -369,7 +350,7 @@ def normal_equations(config: ModelConfig, states, controls) -> NormalEquations:
     n_gram = n_feat * m * m
     table = np.empty((n_win, n_gram + n_feat * m + 1))
     n = 0
-    for residual, G, y in _chunks(config, states, controls):
+    for residual, G, y in _chunks(config, states, controls, "training"):
         k = residual.shape[0]
         rows = table[n:n + k]
         np.subtract(residual, y, out=residual)
@@ -377,15 +358,13 @@ def normal_equations(config: ModelConfig, states, controls) -> NormalEquations:
         rows[:, n_gram:-1] = (residual[..., None, :] @ G).reshape(k, n_feat * m)
         np.einsum("wfh,wfh->w", residual, residual, out=rows[:, -1])
         n += k
-    if n == 0:
-        raise InputError(f"no usable training windows ({n_win} skipped)")
     return NormalEquations(table=table[:n], skipped=n_win - n)
 
 
 def fit(config: ModelConfig, states, controls) -> FlightKoobaModel:
     """Train per-feature control weights by minibatch gradient descent.
 
-    Windows are featurized once (the companion system is frozen per window)
+    Windows are rolled out once (the companion system is frozen per window)
     and each is reduced to its normal-equation sums G^T G, G^T (alpha - y)
     and ||alpha - y||^2, packed as one row of a table that normal_equations
     fills one chunk of windows at a time. Each epoch shuffles the windows
@@ -427,13 +406,15 @@ def closed_form_b(config: ModelConfig, states, controls) -> ClosedFormResult:
     Solves min_b sum_w ||alpha_w + G_w b - y_w||^2 per feature. Rank-deficient
     designs fall back to the minimum-norm solution and flag the feature.
     """
-    reg = _usable_windows(config, states, controls, "training")
-    n_feat = reg.y.shape[1]
+    states, controls = _as_2d(states, "states"), _as_2d(controls, "controls")
+    alpha, G, y = (np.concatenate(pieces)
+                   for pieces in zip(*_chunks(config, states, controls, "training")))
+    n_feat = y.shape[1]
     b = np.empty((n_feat, config.controls))
     flags: list[bool] = []
     for f in range(n_feat):
-        design = reg.G[:, f].reshape(-1, config.controls)
-        rhs = (reg.y[:, f] - reg.alpha[:, f]).ravel()
+        design = G[:, f].reshape(-1, config.controls)
+        rhs = (y[:, f] - alpha[:, f]).ravel()
         sol, _, rank, _ = np.linalg.lstsq(design, rhs, rcond=None)
         deficient = rank < config.controls
         if deficient:
@@ -483,18 +464,30 @@ def predict(model: FlightKoobaModel, c_state: hippo.CoefficientState,
 
 
 def evaluate(model: FlightKoobaModel, states, controls) -> dict:
-    """Per-feature and mean MSE of the trained model over the given rows."""
-    reg = _usable_windows(model.config, states, controls, "evaluation")
-    if reg.y.shape[1] != model.n_features:
+    """Per-feature and mean MSE of the trained model over the given rows.
+
+    Each chunk's residual alpha + G b - y is formed in place in its alpha and
+    reduced to per-feature sums of squares, so no array of every window's
+    forecast exists.
+    """
+    config = model.config
+    states, controls = _as_2d(states, "states"), _as_2d(controls, "controls")
+    if states.shape[1] != model.n_features:
         raise InputError(f"model was trained on {model.n_features} features, "
-                         f"got {reg.y.shape[1]}")
-    residual = reg.alpha + (reg.G @ model.b[..., None])[..., 0] - reg.y
-    per_feature = np.mean(residual * residual, axis=(0, 2))
+                         f"got {states.shape[1]}")
+    sq_sum = np.zeros(model.n_features)
+    n = 0
+    for residual, G, y in _chunks(config, states, controls, "evaluation"):
+        residual += (G @ model.b[..., None])[..., 0]
+        residual -= y
+        sq_sum += np.einsum("wfh,wfh->f", residual, residual)
+        n += residual.shape[0]
+    per_feature = sq_sum / (n * config.horizon)
     return {
         "per_feature": [float(v) for v in per_feature],
         "mean": float(np.mean(per_feature)),
-        "windows": reg.alpha.shape[0],
-        "skipped_windows": reg.skipped,
+        "windows": n,
+        "skipped_windows": _window_count(config, states) - n,
     }
 
 

@@ -200,7 +200,7 @@ def test_discretization_matches_lapack():
 
 
 def test_discretization_of_a_batch_is_bit_identical(lorenz_table):
-    # featurize discretizes whole chunks and predict one system: both must
+    # the training rollout discretizes whole chunks and predict one system: both must
     # give the same numbers and the same validity flags
     dt = ModelConfig().eff_dt_basis
     for method, order in (("legs", 1), ("legs", 6), ("legt", 9), ("legt", 12), ("legs", 13)):

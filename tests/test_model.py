@@ -14,9 +14,9 @@ from kooba import (ConfigError, DegenerateCoefficientsError, InputError,
                    window_count, window_loss_grad)
 from kooba.hippo import CoefficientState, project
 from kooba.model import (CHUNK_ROWS, FlightKoobaModel, _descend, _epochs_per_block,
-                         _rollout, build_basis, featurize, normal_equations)
+                         _rollout, build_basis, normal_equations)
 
-from conftest import realizable_series, traced_peak
+from conftest import realizable_series, traced_peak, whole_regression
 
 GOLDEN = Path(__file__).parent / "data" / "golden_model.json"
 
@@ -44,6 +44,9 @@ def test_config_validation():
         ModelConfig(horizon=0)
     with pytest.raises(ConfigError):
         ModelConfig(learning_rate=0.0)
+    for value in (True, "0.1", None):
+        with pytest.raises(ConfigError, match=f"learning_rate must be a number, got {value!r}"):
+            ModelConfig(learning_rate=value)
     with pytest.raises(ConfigError):
         ModelConfig(stride=0)
     with pytest.raises(ConfigError, match="seed must be non-negative, got -1"):
@@ -152,6 +155,18 @@ def test_evaluate_and_oracle_with_no_usable_windows():
     model = FlightKoobaModel(config=config, b=np.zeros((1, 1)))
     with pytest.raises(InputError, match=r"no usable evaluation windows \(4 skipped\)"):
         evaluate(model, states, controls)
+
+
+def test_evaluate_checks_the_feature_count_first():
+    # a 2-feature model on 1-feature rows names the mismatch, also when no
+    # window of those rows would be usable
+    config = ModelConfig(order=3, seq_len=8, horizon=2)
+    model = FlightKoobaModel(config=config, b=np.zeros((2, 1)))
+    t = np.arange(40, dtype=float)
+    controls = np.ones((40, 1))
+    for states in (np.sin(t / 3)[:, None], np.zeros((40, 1))):
+        with pytest.raises(InputError, match="model was trained on 2 features, got 1"):
+            evaluate(model, states, controls)
 
 
 def test_fit_input_checks():
@@ -314,19 +329,20 @@ def test_ragged_weights_are_rejected(tmp_path):
     assert not (tmp_path / "ev").exists()
 
 
-@pytest.mark.parametrize("key, value", [("loss_history", [0.3, "fast"]),
-                                        ("skipped_windows", "many"),
-                                        ("b", [[0.1, 0.2], [0.3, 0.4]]),
-                                        ("b", [[float("nan")], [0.1]])],
-                         ids=["loss-text", "skipped-text", "b-columns", "b-nan"])
-def test_malformed_model_file_exits_2(tmp_path, key, value):
+@pytest.mark.parametrize("section, key, value", [
+    (None, "loss_history", [0.3, "fast"]), (None, "skipped_windows", "many"),
+    (None, "b", [[0.1, 0.2], [0.3, 0.4]]), (None, "b", [[float("nan")], [0.1]]),
+    ("config", "learning_rate", True), ("config", "learning_rate", "0.1"),
+], ids=["loss-text", "skipped-text", "b-columns", "b-nan", "lr-true", "lr-text"])
+def test_malformed_model_file_exits_2(tmp_path, capsys, section, key, value):
     doc = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    doc[key] = value
+    (doc[section] if section else doc)[key] = value
     path = tmp_path / "model.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     rc = cli.main(["eval", "--model", str(path), "--dataset", "lorenz",
                    "--out", str(tmp_path / "ev")])
     assert rc == cli.EXIT_CONFIG
+    assert key in capsys.readouterr().err
     assert not (tmp_path / "ev").exists()
 
 
@@ -339,7 +355,7 @@ def test_fit_ignores_cold_state_reuse(realizable_fixture):
     np.testing.assert_array_equal(cold.c, warm.c)
 
 
-# ---- batched featurizer against the reference step API ----------------------
+# ---- chunked rollout against the reference step API -------------------------
 
 def _smooth_series(n_rows, n_feat, n_ctrl, seed):
     rng = np.random.default_rng(seed)
@@ -396,12 +412,12 @@ def test_featurize_matches_step_api(method, horizon, controls):
     n_win = 70
     assert (n_win * 2) % CHUNK_ROWS != 0
     states, ctrl = _smooth_series(8 + horizon + 3 * (n_win - 1), 2, controls, seed=horizon)
-    reg = featurize(config, states, ctrl)
+    got_alpha, got_G, got_y, skipped = whole_regression(config, states, ctrl)
     alpha, G, y = _reference_pieces(config, states, ctrl)
-    assert reg.skipped == 0 and reg.alpha.shape == (n_win, 2, horizon)
-    assert _rel(reg.alpha, alpha) < 1e-12
-    assert _rel(reg.G, G) < 1e-12
-    np.testing.assert_array_equal(reg.y, y)
+    assert skipped == 0 and got_alpha.shape == (n_win, 2, horizon)
+    assert _rel(got_alpha, alpha) < 1e-12
+    assert _rel(got_G, G) < 1e-12
+    np.testing.assert_array_equal(got_y, y)
 
     b = np.array([[0.3, -0.2][:controls], [-0.4, 0.1][:controls]])
     model = FlightKoobaModel(config=config, b=b)
@@ -478,7 +494,7 @@ def test_fit_loss_curve_meets_the_rounding_floor(realizable_fixture):
     # of those sums, about 1e-16 of the first epoch's loss
     config, states, controls, _ = realizable_fixture
     kept = states.copy(), controls.copy()
-    alpha, G, y, _ = featurize(config, states, controls)
+    alpha, G, y, _ = whole_regression(config, states, controls)
     b_ref, loss_ref = _reference_sgd(config, alpha, G, y)
     model = fit(config, states, controls)
     assert _rel(model.b, b_ref) < 1e-12
@@ -540,16 +556,30 @@ def test_fit_allocates_no_more_than_the_table_build(controls, lorenz_ds):
 
 def test_fit_never_holds_the_whole_regression(lorenz_train):
     # fit reduces each chunk of windows into its table rows as the chunk is
-    # rolled out, so at h = 8 its peak is below featurize's alpha and G alone
+    # rolled out, so at h = 8 its peak is below every window's alpha and G alone
     states, controls = lorenz_train
     config = ModelConfig(horizon=8)
-    alpha, G, _, _ = featurize(config, states, controls)
+    alpha, G, _, _ = whole_regression(config, states, controls)
     assert traced_peak(fit, config, states, controls) < alpha.nbytes + G.nbytes
 
 
-def _descend_on_featurize(config, states, controls):
-    """fit's result from a table of featurize's whole regression, or its abort message."""
-    alpha, G, y, skipped = featurize(config, states, controls)
+def test_evaluate_never_holds_the_whole_regression(lorenz_train):
+    # evaluate reduces each chunk's residual, formed in its own alpha, to
+    # per-feature sums, so at h = 8 its peak is below every window's alpha
+    # and G alone, and the caller's rows are left as they were
+    states, controls = lorenz_train
+    kept = states.copy(), controls.copy()
+    config = ModelConfig(horizon=8)
+    alpha, G, _, _ = whole_regression(config, states, controls)
+    model = FlightKoobaModel(config=config, b=np.array([[0.02], [-0.01]]))
+    assert traced_peak(evaluate, model, states, controls) < alpha.nbytes + G.nbytes
+    np.testing.assert_array_equal(states, kept[0])
+    np.testing.assert_array_equal(controls, kept[1])
+
+
+def _descend_on_whole_regression(config, states, controls):
+    """fit's result from a table of the whole regression, or its abort message."""
+    alpha, G, y, skipped = whole_regression(config, states, controls)
     residual = alpha - y
     n_win = residual.shape[0]
     table = np.concatenate([(G.swapaxes(-1, -2) @ G).reshape(n_win, -1),
@@ -573,7 +603,7 @@ def test_streamed_fit_matches_descent_on_the_whole_regression(config, aborts, lo
     # chunks; the abort cases compare the message
     states, ctrl = split_controls(lorenz_ds, config.controls)
     states, ctrl = states[:lorenz_ds.split_index], ctrl[:lorenz_ds.split_index]
-    expected, skipped = _descend_on_featurize(config, states, ctrl)
+    expected, skipped = _descend_on_whole_regression(config, states, ctrl)
     assert isinstance(expected, str) == aborts
     if aborts:
         with pytest.raises(TrainingAbortedError) as info:
@@ -614,14 +644,14 @@ def test_singular_windows_are_skipped_like_the_pivoted_lu_check(lorenz_train):
     model = fit(config, states, controls)
     assert model.skipped_windows == np.count_nonzero(flagged.any(axis=1))
     assert np.all(np.isfinite(model.b))
-    # featurize keeps the other windows, in order, across the chunks the
-    # undefined ones fall into: one rollout of them all gives its pieces
+    # the chunks keep the other windows, in order, across the chunks the
+    # undefined ones fall into: one rollout of them all gives their pieces
     usable = ~flagged.any(axis=1)
-    reg = featurize(config, states, controls)
+    got_alpha, got_G, got_y, _ = whole_regression(config, states, controls)
     starts = 8 * np.arange(flagged.shape[0])[usable]
-    np.testing.assert_array_equal(reg.y, states[starts + 8][:, :, None])
+    np.testing.assert_array_equal(got_y, states[starts + 8][:, :, None])
     alpha, G, _ = _rollout(config, coeffs[usable], controls[starts + 8][:, None, None, :])
-    assert _rel(reg.alpha, alpha) < 1e-12 and _rel(reg.G, G) < 1e-12
+    assert _rel(got_alpha, alpha) < 1e-12 and _rel(got_G, G) < 1e-12
     w, f = np.argwhere(flagged)[0]
     with pytest.raises(NumericalError, match="singular"):
         predict(model, project(basis, states[8 * w:8 * w + 8, f]),
@@ -668,7 +698,7 @@ def test_fit_aborts_where_a_sequential_loop_does(config, later, lorenz_train):
     # it names must be the one a step-by-step loop meets first, also when
     # that is in a later block of epochs than the first
     states, controls = lorenz_train
-    alpha, G, y, _ = featurize(config, states, controls)
+    alpha, G, y, _ = whole_regression(config, states, controls)
     expected = _first_abort(config, alpha, G, y)
     assert expected is not None
     if later:
