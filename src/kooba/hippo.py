@@ -10,7 +10,8 @@ with constant coefficients
 
 discretized once with the bilinear (trapezoidal) rule and then stepped as
 c_{k+1} = Nbar c_k + Mbar gamma_k from a zero initial state. Block updates
-batch k steps into one matrix product and are bit-equivalent to the loop.
+batch k steps into one matrix product and equal the loop to rounding, not
+bit for bit.
 """
 
 from __future__ import annotations

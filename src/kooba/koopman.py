@@ -8,7 +8,9 @@ exogenous inputs. The bilinear discretization of that system is built in
 closed form (companion_discrete): I - dt/2 A is unit upper-bidiagonal but
 for its last row, so its inverse is a fixed upper-triangular matrix of
 powers of dt/2 plus one outer product of that row's Horner sums: nothing
-here calls a linear solver.
+here calls a linear solver. propagate and readout step one system;
+rollout runs the same recurrence for a batch of systems over a horizon and
+returns the forecast's affine pieces in the control weights.
 
 Convention note: the derivative stack follows the rescaled chain rule
 d/ds p_n = n * p_{n-1}: the coefficient transform (poly_ode_coeffs) and the
@@ -64,7 +66,8 @@ def _falling(n: int) -> list[float]:
 def _ode_scale(n: int) -> tuple[np.ndarray, np.ndarray]:
     """normalization(n) and _falling(n) as arrays, the factors of poly_ode_coeffs.
 
-    Shared by every caller, so read-only.
+    rollout reads the lift off the falling products. Shared by every caller,
+    so read-only.
     """
     norm, fall = normalization(n), np.array(_falling(n))
     norm.flags.writeable = fall.flags.writeable = False
@@ -272,3 +275,48 @@ def readout(sys: KoopmanSystem, state: LiftedState) -> float:
     if not isfinite(value):
         raise NumericalError("non-finite readout")
     return value
+
+
+def rollout(a: np.ndarray, u_future: np.ndarray,
+            dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Forecast pieces alpha (..., h) and G (..., h, m) of companion systems.
+
+    The forecast under control weights b is alpha + G b: propagate from
+    lift_initial_state, then readout, for every system at once. a is
+    (..., n+1); u_future (..., h, m) broadcasts against its leading axes.
+    Convolution form of the lifted recurrence x' = Abar x + w u: carry
+    Abar^t [x0, w] for t = 0..h, read alpha off the first column and the
+    control impulse response k off the second, then G = Toeplitz(k) u. The
+    Toeplitz matrix is a strided view of k behind h - 1 zeros: entry (i, j)
+    sits i - j places after k_0, so rows step forward and columns step back.
+    The third result marks the systems that are defined (companion_discrete).
+    """
+    h = u_future.shape[-2]
+    abar, w, ok = companion_discrete(a, dt)
+    carry = np.empty(w.shape[:-1] + (h + 1,) + w.shape[-1:] + (2,))   # (..., h+1, n, 2)
+    carry[..., 0, :, 0] = _ode_scale(a.shape[-1] - 1)[1][:0:-1]      # lift_initial_state's x
+    carry[..., 0, :, 1] = w
+    for t in range(h):
+        carry[..., t + 1, :, :] = abar @ carry[..., t, :, :]
+    del abar
+    first = carry[..., 0, :]                                 # (..., h+1, 2)
+    dot = (a[..., None, None, 1:] @ carry)[..., 0, :]        # a_1.. . carry
+    a0 = a[..., :1]
+    alpha = a0 * first[..., :h, 0] + dot[..., 1:, 0]
+    padded = np.zeros(dot.shape[:-2] + (2 * h - 1,))
+    k = padded[..., h - 1:]
+    k[...] = dot[..., :h, 1]
+    k[..., 1:] += a0 * first[..., :h - 1, 1]
+    s = padded.itemsize
+    toeplitz = np.ndarray(padded.shape[:-1] + (h, h), padded.dtype, padded, (h - 1) * s,
+                          padded.strides[:-1] + (s, -s))
+    return alpha, toeplitz @ u_future, ok
+
+
+def rollout_bytes(n: int, h: int) -> int:
+    """Bytes rollout holds at once per system of order n over h steps, then frees.
+
+    In float64: Abar (n^2), the carry (2n (h+1)), one step's product (2n),
+    w (n) and the ODE coefficients a (n+1).
+    """
+    return 8 * (n * n + 2 * n * (h + 3) + 1)

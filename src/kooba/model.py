@@ -8,9 +8,10 @@ rollout is affine in the control weights b, so every window reduces to
 
     forecast = alpha + G b
 
-with alpha the control-free response and G the per-channel control response.
-One generator (_chunks) rolls the windows out a fixed chunk of window x
-feature rows at a time, and predict runs the same rollout on one system.
+with alpha the control-free response and G the per-channel control response,
+both from koopman.rollout. One generator (_chunks) rolls the windows out a
+fixed chunk of window x feature rows at a time, and predict rolls out one
+system.
 Each window's squared error is then a quadratic in b, so fit reduces every
 window to its normal-equation sums (G^T G, G^T (alpha - y) and
 ||alpha - y||^2) as its chunk is rolled out (normal_equations), and evaluate
@@ -31,7 +32,6 @@ import json
 import logging
 import math
 from dataclasses import dataclass, field, asdict
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -143,47 +143,18 @@ def _as_2d(arr, name: str) -> np.ndarray:
     return arr
 
 
-@lru_cache(maxsize=16)
-def _lift(order: int) -> np.ndarray:
-    """lift_initial_state's vector, shared by every rollout, so read-only."""
-    x = koopman.lift_initial_state(order).x
-    x.flags.writeable = False
-    return x
+def _require_finite(arr: np.ndarray, name: str) -> None:
+    """Raise InputError naming the column and row of the first non-finite cell.
 
-
-def _rollout(config: ModelConfig, a: np.ndarray,
-             u_future: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Forecast pieces alpha (..., h) and G (..., h, m) of companion systems.
-
-    a is (..., n+1); u_future (..., h, m) broadcasts against its
-    leading axes. Convolution form of the lifted recurrence x' = Abar x + w u:
-    carry Abar^t [x0, w] for t = 0..h, read alpha off the first column and the
-    control impulse response k off the second, then G = Toeplitz(k) u. The
-    Toeplitz matrix is a strided view of k behind h - 1 zeros: entry (i, j)
-    sits i - j places after k_0, so rows step forward and columns step back.
-    The third result marks the systems that are defined
-    (koopman.companion_discrete).
+    One column at a time, so the mask stays far below a chunk's arrays; it
+    goes with this frame, before the rollout starts.
     """
-    h = u_future.shape[-2]
-    abar, w, ok = koopman.companion_discrete(a, config.eff_dt_basis)
-    carry = np.empty(w.shape[:-1] + (h + 1,) + w.shape[-1:] + (2,))   # (..., h+1, n, 2)
-    carry[..., 0, :, 0] = _lift(config.order)
-    carry[..., 0, :, 1] = w
-    for t in range(h):
-        carry[..., t + 1, :, :] = abar @ carry[..., t, :, :]
-    del abar
-    first = carry[..., 0, :]                                 # (..., h+1, 2)
-    dot = (a[..., None, None, 1:] @ carry)[..., 0, :]        # a_1.. . carry
-    a0 = a[..., :1]
-    alpha = a0 * first[..., :h, 0] + dot[..., 1:, 0]
-    padded = np.zeros(dot.shape[:-2] + (2 * h - 1,))
-    k = padded[..., h - 1:]
-    k[...] = dot[..., :h, 1]
-    k[..., 1:] += a0 * first[..., :h - 1, 1]
-    s = padded.itemsize
-    toeplitz = np.ndarray(padded.shape[:-1] + (h, h), padded.dtype, padded, (h - 1) * s,
-                          padded.strides[:-1] + (s, -s))
-    return alpha, toeplitz @ u_future, ok
+    for j in range(arr.shape[1]):
+        finite = np.isfinite(arr[:, j])
+        if not finite.all():
+            row = int(np.argmin(finite))
+            raise InputError(f"{name} column {j} holds the non-finite value {arr[row, j]} "
+                             f"at row {row}")
 
 
 def _chunks(config: ModelConfig, states: np.ndarray, controls: np.ndarray, split: str):
@@ -195,11 +166,16 @@ def _chunks(config: ModelConfig, states: np.ndarray, controls: np.ndarray, split
     undefined (a vanishing leading coefficient or a singular I - dt/2 A).
     alpha and G are new arrays that the caller may overwrite; y is a view of
     states when the chunk skips no window. Raises InputError, naming the split, once every
-    window is rolled out if none was usable.
+    window is rolled out if none was usable. Rejects a states matrix with no
+    column and any non-finite cell of either matrix up front.
     """
     if controls.shape[1] != config.controls:
         raise InputError(f"control matrix has {controls.shape[1]} columns, "
                          f"config expects {config.controls}")
+    if states.shape[1] == 0:
+        raise InputError("state matrix has no feature columns")
+    _require_finite(states, "states")
+    _require_finite(controls, "controls")
     L, h = config.seq_len, config.horizon
     hist, u_future, y = windows(states, controls, L, h, config.eff_stride)
     n_rows, n_feat, _ = hist.shape
@@ -210,7 +186,7 @@ def _chunks(config: ModelConfig, states: np.ndarray, controls: np.ndarray, split
     for lo in range(0, n_rows, step):
         rows = slice(lo, lo + step)
         a = koopman.poly_ode_coeffs(hippo.block_step(zero, hist[rows], kernel).c)
-        alpha, G, ok = _rollout(config, a, u_future[rows, None])
+        alpha, G, ok = koopman.rollout(a, u_future[rows, None], config.eff_dt_basis)
         usable = ok.all(axis=1)
         n_usable += np.count_nonzero(usable)
         if usable.all():
@@ -241,17 +217,6 @@ def window_loss_grad(alpha: np.ndarray, G: np.ndarray, y: np.ndarray,
     return loss, grad.reshape((-1,) + b.shape).mean(axis=0)
 
 
-def _chunk_bytes(config: ModelConfig, n_win: int, n_feat: int) -> int:
-    """Bytes a chunk of the table build holds at once while it rolls out, then frees.
-
-    Per window x feature row, in float64: Abar (n^2), the carry (2n (h+1)),
-    one step's product (2n), w (n) and the ODE coefficients a (n+1).
-    """
-    n = config.order
-    rows = min(max(1, CHUNK_ROWS // n_feat), n_win) * n_feat
-    return 8 * rows * (n * n + 2 * n * (config.horizon + 3) + 1)
-
-
 def _epochs_per_block(config: ModelConfig, n_win: int, n_feat: int) -> int:
     """Epochs fit descends per array pass: as many as fit in a chunk's bytes, at least one.
 
@@ -259,13 +224,15 @@ def _epochs_per_block(config: ModelConfig, n_win: int, n_feat: int) -> int:
     saw. Beside them it holds one epoch's permutation and gather (an index
     and a table row per window) while it sums, and later the scan's A with
     one A-sized temporary and d with two d-sized temporaries. Either phase
-    fits in _chunk_bytes, which the table build freed before training.
+    fits in the bytes koopman.rollout held for one chunk's window x feature
+    rows (koopman.rollout_bytes), which the table build freed before training.
     """
     m = config.controls
     n_gram, n_cross = n_feat * m * m, n_feat * m
     n_cols = n_gram + n_cross + 1
     n_batch = -(-n_win // config.batch_size)
-    budget = _chunk_bytes(config, n_win, n_feat)
+    rows = min(max(1, CHUNK_ROWS // n_feat), n_win) * n_feat
+    budget = rows * koopman.rollout_bytes(config.order, config.horizon)
     held = 8 * n_batch * (n_cols + n_cross + 1)
     scan = 8 * n_batch * (2 * n_gram + 3 * n_cross)
     gather = 8 * n_win * (n_cols + 1)
@@ -455,7 +422,7 @@ def predict(model: FlightKoobaModel, c_state: hippo.CoefficientState,
         raise InputError(f"coefficient state has shape {c.shape}; a model of order "
                          f"{config.order} needs {config.order + 1} coefficients")
     a = koopman.poly_ode_coeffs(c)
-    alpha, G, ok = _rollout(config, a, u_future)
+    alpha, G, ok = koopman.rollout(a, u_future, config.eff_dt_basis)
     koopman.require_defined(a, ok, config.eff_dt_basis)
     out = alpha + G @ model.b[feature]
     if not np.all(np.isfinite(out)):

@@ -259,8 +259,11 @@ def test_corrupted_model_file(tmp_path, synthetic_csv):
     (["train", "--dataset", "csv:{dir}/tracks"], cli.EXIT_IO),
     (["eval", "--model", "{dir}/format99.json", "--dataset", "lorenz"], cli.EXIT_CONFIG),
     (["train", "--dataset", "csv"], cli.EXIT_CONFIG),
+    (["train", "--dataset", "lorenz", "--dataset", "lorenz"], cli.EXIT_CONFIG),
+    (["eval", "--model", "{dir}/missing.json", "--dataset", "lorenz", "--dataset", "lorenz"],
+     cli.EXIT_CONFIG),
 ], ids=["non-utf8-csv", "non-utf8-model", "directory-as-csv", "model-format-99",
-        "bad-dataset-spec"])
+        "bad-dataset-spec", "train-two-datasets", "eval-two-datasets"])
 def test_bad_input_exits_with_its_code_and_no_traceback(tmp_path, capsys, argv, code):
     # the console entry point is sys.exit(main()), so main returning a code,
     # not raising, is what keeps a traceback off stderr
@@ -347,6 +350,10 @@ def test_validate_report_catches_problems(tmp_path, synthetic_csv):
     problems = cli.validate_report(report)
     assert any("mse.mean" in p for p in problems)
     assert any("loss_curve" in p for p in problems)
+    for change, problem in [({"schema": 99}, f"schema version 99 != {cli.SCHEMA_VERSION}"),
+                            ({"command": "bench", "rows": {}}, "rows: expected a list"),
+                            ({"command": "bench", "rows": [3]}, "rows[0]: expected an object")]:
+        assert problem in cli.validate_report({**report, **change}), change
 
 
 def test_eval_rejects_model_flags(tmp_path, synthetic_csv, capsys):

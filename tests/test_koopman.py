@@ -13,8 +13,10 @@ from kooba import (ConfigError, DegenerateCoefficientsError, InputError,
 from kooba.data import gen_lorenz, normalize, windows
 from kooba.hippo import block_step, build_kernel, init_state
 from kooba.legendre import reconstruct
-from kooba.koopman import DEGENERATE_TOL, check_order
+from kooba.koopman import DEGENERATE_TOL, check_order, rollout, rollout_bytes
 from kooba.model import ModelConfig, build_basis
+
+from conftest import traced_peak
 
 
 def _transform_oracle(c):
@@ -374,3 +376,14 @@ def test_bilinear_rollout_converges_to_the_exponential(method, lorenz_table):
                           / np.max(np.abs(exact), axis=(1, 2)))
         ratios = np.array(errors[:-1]) / np.array(errors[1:])
         assert np.all((ratios > 3.9) & (ratios < 4.1)), (order, ratios)
+
+
+@pytest.mark.parametrize("horizon", [1, 8])
+def test_rollout_bytes_matches_the_traced_peak_of_a_chunk(horizon):
+    # model._epochs_per_block budgets a block of epochs by the bytes a chunk's
+    # rollout held: one full chunk of 64 windows x 2 features at order 6
+    rng = np.random.default_rng(0)
+    a = rng.normal(size=(64, 2, 7))
+    u_future = rng.normal(size=(64, 1, horizon, 1))
+    peak = traced_peak(rollout, a, u_future, 0.25)
+    assert peak == pytest.approx(64 * 2 * rollout_bytes(6, horizon), rel=0.1)

@@ -14,7 +14,7 @@ from kooba import (ConfigError, DegenerateCoefficientsError, InputError,
                    window_count, window_loss_grad)
 from kooba.hippo import CoefficientState, project
 from kooba.model import (CHUNK_ROWS, FlightKoobaModel, _descend, _epochs_per_block,
-                         _rollout, build_basis, normal_equations)
+                         build_basis, normal_equations)
 
 from conftest import realizable_series, traced_peak, whole_regression
 
@@ -42,6 +42,9 @@ def test_config_validation():
         ModelConfig(controls=0)
     with pytest.raises(ConfigError):
         ModelConfig(horizon=0)
+    for name in ("epochs", "batch_size"):
+        with pytest.raises(ConfigError, match=r"epochs and batch_size must be positive"):
+            ModelConfig(**{name: 0})
     with pytest.raises(ConfigError):
         ModelConfig(learning_rate=0.0)
     for value in (True, "0.1", None):
@@ -177,6 +180,16 @@ def test_fit_input_checks():
         fit(config, np.zeros((5, 1)), np.zeros((5, 2)))
     with pytest.raises(InputError):
         fit(config, np.zeros((40, 1)), np.zeros((40, 1)))
+    with pytest.raises(InputError, match=r"states must be a \(time, features\) matrix, "
+                                         r"got shape \(40, 1, 1\)"):
+        fit(config, np.zeros((40, 1, 1)), np.zeros((40, 2)))
+
+
+def test_states_without_columns_are_rejected():
+    states, controls = np.zeros((40, 0)), np.ones((40, 1))
+    for call in (fit, normal_equations, closed_form_b):
+        with pytest.raises(InputError, match="state matrix has no feature columns"):
+            call(ModelConfig(), states, controls)
 
 
 def test_predict_is_affine_in_weights(realizable_fixture):
@@ -224,6 +237,9 @@ def test_predict_edge_cases():
     # one control column per step: a third axis is not a stack of forecasts
     with pytest.raises(InputError, match=r"\(steps, controls\) matrix, got shape \(4, 1, 1\)"):
         predict(model, state, np.ones((4, 1, 1)))
+    for value in (np.nan, np.inf):
+        with pytest.raises(InputError, match="non-finite control input"):
+            predict(model, state, [[1.0], [value]])
 
 
 @pytest.mark.parametrize("length", [4, 9])
@@ -650,12 +666,32 @@ def test_singular_windows_are_skipped_like_the_pivoted_lu_check(lorenz_train):
     got_alpha, got_G, got_y, _ = whole_regression(config, states, controls)
     starts = 8 * np.arange(flagged.shape[0])[usable]
     np.testing.assert_array_equal(got_y, states[starts + 8][:, :, None])
-    alpha, G, _ = _rollout(config, coeffs[usable], controls[starts + 8][:, None, None, :])
+    alpha, G, _ = koopman.rollout(coeffs[usable], controls[starts + 8][:, None, None, :], dt)
     assert _rel(got_alpha, alpha) < 1e-12 and _rel(got_G, G) < 1e-12
     w, f = np.argwhere(flagged)[0]
     with pytest.raises(NumericalError, match="singular"):
         predict(model, project(basis, states[8 * w:8 * w + 8, f]),
                 controls[8 * w + 8:8 * w + 9], f)
+
+
+@pytest.mark.parametrize("matrix, row, col, value", [
+    ("controls", 16, 0, np.nan), ("states", 16, 1, np.inf), ("states", 3, 0, np.nan),
+], ids=["future-control", "target", "history"])
+def test_non_finite_input_is_rejected_naming_its_cell(matrix, row, col, value, lorenz_train):
+    # row 16 is window 1's future control and target (and window 2's first
+    # history row); row 3 is only history. Each is an input fault, not a
+    # nan score or a diverged fit
+    states, controls = (m.copy() for m in lorenz_train)
+    {"states": states, "controls": controls}[matrix][row, col] = value
+    kept = states.copy(), controls.copy()
+    model = FlightKoobaModel(config=ModelConfig(), b=np.zeros((2, 1)))
+    message = f"{matrix} column {col} holds the non-finite value {value} at row {row}"
+    for call, args in ((fit, (ModelConfig(),)), (evaluate, (model,))):
+        with pytest.raises(InputError) as info:
+            call(*args, states, controls)
+        assert str(info.value) == message
+        np.testing.assert_array_equal(states, kept[0])
+        np.testing.assert_array_equal(controls, kept[1])
 
 
 def test_fit_aborts_at_the_first_non_finite_batch_loss(lorenz_train):
