@@ -35,21 +35,23 @@ log = logging.getLogger(__name__)
 
 SCHEMA_VERSION = 1
 
-# report shape, field -> kind per section: every document has the "report"
-# fields, train and eval reports add their own, and a bench report's rows are
-# each a "row", or a "row_failure" for a dataset that failed
-_SCORED_FIELDS = {"dataset": "str", "config": "dict", "mse": "dict", "parameters": "dict",
+# report shape, field -> kind: every document has the "report" fields and each
+# command adds its own. A dict kind is the shape of a nested object ({} leaves
+# its fields open); a tuple kind is a list of rows, each of the first shape, or
+# of the second when the row holds an "error" (a dataset that failed)
+_SCORED_FIELDS = {"dataset": "str", "config": {},
+                  "mse": {"per_feature": "list[number]", "mean": "number"},
+                  "parameters": {"controls": "int", "total": "int", "format": "str"},
                   "loss_curve": "list[number]", "skipped_windows": "int"}
 REPORT_FIELDS = {
     "report": {"schema": "int", "command": "str", "seed": "int"},
     "train": {**_SCORED_FIELDS, "train_time_ms": "positive_number",
               "memory_bytes_estimate": "positive_int"},
     "eval": {**_SCORED_FIELDS, "eval_time_ms": "positive_number"},
-    "row": {"dataset": "str", "mse_mean": "number", "train_time_ms": "positive_number",
-            "memory_bytes_estimate": "positive_int", "parameters": "str", "seed": "int"},
-    "row_failure": {"dataset": "str", "error": "str"},
-    "mse": {"per_feature": "list[number]", "mean": "number"},
-    "parameters": {"controls": "int", "total": "int", "format": "str"},
+    "bench": {"rows": ({"dataset": "str", "mse_mean": "number",
+                        "train_time_ms": "positive_number", "memory_bytes_estimate": "positive_int",
+                        "parameters": "str", "seed": "int"},
+                       {"dataset": "str", "error": "str"})},
 }
 
 
@@ -60,7 +62,6 @@ def _is_number(v) -> bool:
 _KINDS = {
     "int": lambda v: _is_number(v) and isinstance(v, int),
     "str": lambda v: isinstance(v, str),
-    "dict": lambda v: isinstance(v, dict),
     "number": _is_number,
     "positive_number": lambda v: _is_number(v) and v > 0,
     "positive_int": lambda v: _is_number(v) and isinstance(v, int) and v > 0,
@@ -164,15 +165,13 @@ def run_dataset(config: ModelConfig, spec: str) -> tuple[dict, model_mod.FlightK
     finally:
         tracemalloc.stop()
 
-    report = _scored_report("train", tag, config, fitted, scores)
-    report["train_time_ms"] = train_ms
-    report["memory_bytes_estimate"] = int(peak)
-    return report, fitted
+    return _scored_report("train", tag, config, fitted, scores, train_time_ms=train_ms,
+                          memory_bytes_estimate=int(peak)), fitted
 
 
 def _scored_report(command: str, tag: str, config: ModelConfig,
-                   fitted: model_mod.FlightKoobaModel, scores: dict) -> dict:
-    """Fields of a train or eval report; scores is evaluate() on the test split."""
+                   fitted: model_mod.FlightKoobaModel, scores: dict, **own) -> dict:
+    """A train or eval report, own fields last; scores is evaluate() on the test split."""
     m = config.controls
     total = fitted.parameter_count
     return {
@@ -185,6 +184,7 @@ def _scored_report(command: str, tag: str, config: ModelConfig,
         "parameters": {"controls": m, "total": total, "format": f"{m} / {total}"},
         "loss_curve": [float(v) for v in fitted.loss_history],
         "skipped_windows": scores["skipped_windows"],
+        **own,
     }
 
 
@@ -229,8 +229,7 @@ def cmd_eval(ns: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     scores = model_mod.evaluate(loaded, *test)
     eval_ms = (time.perf_counter() - t0) * 1e3
-    report = _scored_report("eval", tag, config, loaded, scores)
-    report["eval_time_ms"] = eval_ms
+    report = _scored_report("eval", tag, config, loaded, scores, eval_time_ms=eval_ms)
     out = Path(ns.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "eval_report.json", report)
@@ -247,7 +246,6 @@ def cmd_bench(ns: argparse.Namespace) -> int:
         raise ConfigError(f"--dataset specs must have distinct tags; {repeated} repeat")
     rows = []
     models = {}
-    succeeded = 0
     last_error_code = EXIT_CONFIG
     for spec in ns.dataset:
         try:
@@ -261,7 +259,6 @@ def cmd_bench(ns: argparse.Namespace) -> int:
                 "seed": report["seed"],
             })
             models[report["dataset"]] = fitted
-            succeeded += 1
         except (KoobaError, OSError) as exc:
             log.error("dataset %s failed: %s", spec, exc)
             rows.append({"dataset": spec, "error": str(exc)})
@@ -284,47 +281,45 @@ def cmd_bench(ns: argparse.Namespace) -> int:
         else:
             print(f"bench {row['dataset']}: mean test MSE {row['mse_mean']:.6g}, "
                   f"{row['train_time_ms']:.1f} ms, parameters {row['parameters']}")
-    return EXIT_OK if succeeded else last_error_code
+    return EXIT_OK if models else last_error_code
 
 
 def validate_report(doc: dict) -> list[str]:
-    """Check a report document against REPORT_FIELDS; returns problems."""
+    """Check a report document against REPORT_FIELDS; returns problems.
+
+    An absent key of the document is a missing field; an absent key of a
+    nested object or a row reads as None.
+    """
     problems: list[str] = []
 
-    def expect(value, kind: str, where: str) -> None:
-        if not _KINDS[kind](value):
-            problems.append(f"{where}: expected {kind}, got {value!r}")
-
-    def require(section: str) -> None:
-        for key, kind in REPORT_FIELDS[section].items():
-            if key not in doc:
+    def walk(obj: dict, shape: dict, prefix: str) -> None:
+        for key, kind in shape.items():
+            path, value = prefix + key, obj.get(key)
+            if isinstance(kind, tuple):
+                if not isinstance(value, list):
+                    problems.append(f"{path}: expected a list")
+                    continue
+                for i, row in enumerate(value):
+                    if isinstance(row, dict):
+                        walk(row, kind[1] if "error" in row else kind[0], f"{path}[{i}].")
+                    else:
+                        problems.append(f"{path}[{i}]: expected an object")
+            elif not prefix and key not in obj:
                 problems.append(f"missing field {key}")
-            else:
-                expect(doc[key], kind, key)
+            elif isinstance(kind, dict):
+                if isinstance(value, dict):
+                    walk(value, kind, path + ".")
+                else:
+                    problems.append(f"{path}: expected dict, got {value!r}")
+            elif not _KINDS[kind](value):
+                problems.append(f"{path}: expected {kind}, got {value!r}")
 
-    def nested(obj: dict, section: str, where: str) -> None:
-        for key, kind in REPORT_FIELDS[section].items():
-            expect(obj.get(key), kind, f"{where}.{key}")
-
-    require("report")
+    walk(doc, REPORT_FIELDS["report"], "")
     if doc.get("schema") != SCHEMA_VERSION:
         problems.append(f"schema version {doc.get('schema')!r} != {SCHEMA_VERSION}")
     command = doc.get("command")
-    if command in ("train", "eval"):
-        require(command)
-        for section in ("mse", "parameters"):
-            if isinstance(doc.get(section), dict):
-                nested(doc[section], section, section)
-    elif command == "bench":
-        rows = doc.get("rows")
-        if not isinstance(rows, list):
-            problems.append("rows: expected a list")
-            rows = []
-        for i, row in enumerate(rows):
-            if not isinstance(row, dict):
-                problems.append(f"rows[{i}]: expected an object")
-                continue
-            nested(row, "row_failure" if "error" in row else "row", f"rows[{i}]")
+    if command in ("train", "eval", "bench"):
+        walk(doc, REPORT_FIELDS[command], "")
     return problems
 
 

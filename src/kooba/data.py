@@ -205,9 +205,6 @@ class TimeSeriesDataset:
     col_min: np.ndarray
     col_max: np.ndarray
 
-    def denormalize(self, values, col: int):
-        return np.asarray(values) * (self.col_max[col] - self.col_min[col]) + self.col_min[col]
-
 
 def normalize(names: list[str], table: np.ndarray) -> TimeSeriesDataset:
     """Min-max scale each column on the train split, the first TRAIN_FRAC of the rows.

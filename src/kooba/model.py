@@ -421,6 +421,10 @@ def predict(model: FlightKoobaModel, c_state: hippo.CoefficientState,
     if c.shape[-1:] != (config.order + 1,):
         raise InputError(f"coefficient state has shape {c.shape}; a model of order "
                          f"{config.order} needs {config.order + 1} coefficients")
+    finite = np.isfinite(c)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise InputError(f"coefficient state holds the non-finite value {c.flat[i]} at entry {i}")
     a = koopman.poly_ode_coeffs(c)
     alpha, G, ok = koopman.rollout(a, u_future, config.eff_dt_basis)
     koopman.require_defined(a, ok, config.eff_dt_basis)

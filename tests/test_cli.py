@@ -354,6 +354,25 @@ def test_validate_report_catches_problems(tmp_path, synthetic_csv):
                             ({"command": "bench", "rows": {}}, "rows: expected a list"),
                             ({"command": "bench", "rows": [3]}, "rows[0]: expected an object")]:
         assert problem in cli.validate_report({**report, **change}), change
+    # one fault each, the whole problem list pinned: an absent top-level field,
+    # a nested object that is not one, an absent nested field, a wrongly typed
+    # list entry and an absent field of a bench row
+    report = json.loads((out / "report.json").read_text())
+    assert cli.main(["eval", "--model", str(out / "model.json"), "--dataset",
+                     f"csv:{synthetic_csv}", "--out", str(tmp_path / "ev")]) == cli.EXIT_OK
+    ev = json.loads((tmp_path / "ev" / "eval_report.json").read_text())
+    row = {"dataset": "syn", "mse_mean": 0.5, "train_time_ms": 1.0,
+           "memory_bytes_estimate": 10, "parameters": "1 / 2"}
+    for doc, problems in [
+            ({k: v for k, v in report.items() if k != "seed"}, ["missing field seed"]),
+            ({**report, "mse": 3}, ["mse: expected dict, got 3"]),
+            ({**report, "parameters": {"controls": 1, "format": "1 / 2"}},
+             ["parameters.total: expected int, got None"]),
+            ({**ev, "mse": {**ev["mse"], "per_feature": [1, "a"]}},
+             ["mse.per_feature: expected list[number], got [1, 'a']"]),
+            ({**report, "command": "bench", "rows": [row]},
+             ["rows[0].seed: expected int, got None"])]:
+        assert cli.validate_report(doc) == problems
 
 
 def test_eval_rejects_model_flags(tmp_path, synthetic_csv, capsys):

@@ -240,6 +240,12 @@ def test_predict_edge_cases():
     for value in (np.nan, np.inf):
         with pytest.raises(InputError, match="non-finite control input"):
             predict(model, state, [[1.0], [value]])
+    # a non-finite coefficient state is an input fault, named by its entry
+    for entry, value in ((2, np.nan), (0, -np.inf)):
+        c = state.c.copy()
+        c[entry] = value
+        with pytest.raises(InputError, match=f"non-finite value {value} at entry {entry}$"):
+            predict(model, CoefficientState(c=c), np.ones((3, 1)))
 
 
 @pytest.mark.parametrize("length", [4, 9])
@@ -633,24 +639,21 @@ def test_streamed_fit_matches_descent_on_the_whole_regression(config, aborts, lo
 
 def test_singular_windows_are_skipped_like_the_pivoted_lu_check(lorenz_train):
     # per window and feature: the pivoted LU check of I - dt/2 A that a
-    # single-window discretization used, with the same 1e-14 relative bound
+    # single-window discretization used, with the same 1e-14 relative bound.
+    # Each state comes from its own projection; the companions of every window
+    # with a leading term are factored as one stack
     states, controls = lorenz_train
     config = ModelConfig(order=12, epochs=2)
     basis = build_basis(config)
     dt = config.eff_dt_basis
-    flagged = np.zeros((window_count(states.shape[0], 8, 1, 8), 2), dtype=bool)
-    coeffs = np.empty(flagged.shape + (13,))
-    for w in range(flagged.shape[0]):
-        for f in range(2):
-            a = koopman.poly_ode_coeffs(project(basis, states[8 * w:8 * w + 8, f]).c)
-            coeffs[w, f] = a
-            if abs(a[-1]) < koopman.DEGENERATE_TOL:
-                flagged[w, f] = True
-                continue
-            A, _ = koopman.build_companion(a)
-            lu, _ = lu_factor(np.eye(12) - dt / 2.0 * A)
-            pivots = np.abs(np.diag(lu))
-            flagged[w, f] = pivots.min() < 1e-14 * max(pivots.max(), 1.0)
+    coeffs = koopman.poly_ode_coeffs(np.array(
+        [[project(basis, states[8 * w:8 * w + 8, f]).c for f in range(2)]
+         for w in range(window_count(states.shape[0], 8, 1, 8))]))
+    flagged = np.abs(coeffs[..., -1]) < koopman.DEGENERATE_TOL
+    A, _ = koopman.build_companion(coeffs[~flagged])
+    lu, _ = lu_factor(np.eye(12) - dt / 2.0 * A)
+    pivots = np.abs(np.diagonal(lu, axis1=-2, axis2=-1))
+    flagged[~flagged] = pivots.min(axis=-1) < 1e-14 * np.maximum(pivots.max(axis=-1), 1.0)
     assert flagged.size == 2624 and np.count_nonzero(flagged) == 10
 
     abar, w, ok = koopman.companion_discrete(coeffs, dt)
