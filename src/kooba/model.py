@@ -10,8 +10,8 @@ rollout is affine in the control weights b, so every window reduces to
 
 with alpha the control-free response and G the per-channel control response,
 both from koopman.rollout. One generator (_chunks) rolls the windows out a
-fixed chunk of window x feature rows at a time, and predict rolls out one
-system.
+fixed chunk of window x feature rows at a time (chunk_windows), releasing
+each chunk before it rolls out the next, and predict rolls out one system.
 Each window's squared error is then a quadratic in b, so fit reduces every
 window to its normal-equation sums (G^T G, G^T (alpha - y) and
 ||alpha - y||^2) as its chunk is rolled out (normal_equations), and evaluate
@@ -132,6 +132,19 @@ class FlightKoobaModel:
 
 # window x feature rows per rollout chunk: bounds the (rows, n, n) temporaries
 CHUNK_ROWS = 128
+# rows per finiteness mask of one input column (_require_finite)
+MASK_ROWS = 16384
+
+
+def chunk_windows(n_feat: int) -> int:
+    """Windows per rollout chunk of n_feat features: CHUNK_ROWS rows, at least one window."""
+    return max(1, CHUNK_ROWS // n_feat)
+
+
+def table_columns(config: ModelConfig, n_feat: int) -> int:
+    """Columns of fit's table of per-window sums (NormalEquations) for n_feat features."""
+    m = config.controls
+    return n_feat * (m * m + m) + 1
 
 
 def _as_2d(arr, name: str) -> np.ndarray:
@@ -146,15 +159,18 @@ def _as_2d(arr, name: str) -> np.ndarray:
 def _require_finite(arr: np.ndarray, name: str) -> None:
     """Raise InputError naming the column and row of the first non-finite cell.
 
-    One column at a time, so the mask stays far below a chunk's arrays; it
-    goes with this frame, before the rollout starts.
+    One column and MASK_ROWS rows at a time, so however long the series the
+    masks (two at most, MASK_ROWS bytes each) stay below a chunk's arrays at
+    the default order, and they go with this frame, before the rollout
+    starts.
     """
     for j in range(arr.shape[1]):
-        finite = np.isfinite(arr[:, j])
-        if not finite.all():
-            row = int(np.argmin(finite))
-            raise InputError(f"{name} column {j} holds the non-finite value {arr[row, j]} "
-                             f"at row {row}")
+        for lo in range(0, arr.shape[0], MASK_ROWS):
+            finite = np.isfinite(arr[lo:lo + MASK_ROWS, j])
+            if not finite.all():
+                row = lo + int(np.argmin(finite))
+                raise InputError(f"{name} column {j} holds the non-finite value "
+                                 f"{arr[row, j]} at row {row}")
 
 
 def _chunks(config: ModelConfig, states: np.ndarray, controls: np.ndarray, split: str):
@@ -165,9 +181,12 @@ def _chunks(config: ModelConfig, states: np.ndarray, controls: np.ndarray, split
     y (k, F, h). A window is skipped when any feature's companion system is
     undefined (a vanishing leading coefficient or a singular I - dt/2 A).
     alpha and G are new arrays that the caller may overwrite; y is a view of
-    states when the chunk skips no window. Raises InputError, naming the split, once every
-    window is rolled out if none was usable. Rejects a states matrix with no
-    column and any non-finite cell of either matrix up front.
+    states when the chunk skips no window. The generator drops its own
+    references to a chunk before it rolls out the next, so once the caller
+    drops its own too, no two chunks are held at once. Raises InputError,
+    naming the split, once every window is rolled out if none was usable.
+    Rejects a states matrix with no column and any non-finite cell of either
+    matrix up front.
     """
     if controls.shape[1] != config.controls:
         raise InputError(f"control matrix has {controls.shape[1]} columns, "
@@ -181,7 +200,7 @@ def _chunks(config: ModelConfig, states: np.ndarray, controls: np.ndarray, split
     n_rows, n_feat, _ = hist.shape
     kernel = hippo.build_kernel(build_basis(config), L)
     zero = hippo.init_state(config.order)
-    step = max(1, CHUNK_ROWS // n_feat)
+    step = chunk_windows(n_feat)
     n_usable = 0
     for lo in range(0, n_rows, step):
         rows = slice(lo, lo + step)
@@ -193,6 +212,7 @@ def _chunks(config: ModelConfig, states: np.ndarray, controls: np.ndarray, split
             yield alpha, G, y[rows]
         else:
             yield alpha[usable], G[usable], y[rows][usable]
+        del a, alpha, G, ok, usable
     if n_usable == 0:
         raise InputError(f"no usable {split} windows ({n_rows} skipped)")
 
@@ -229,9 +249,9 @@ def _epochs_per_block(config: ModelConfig, n_win: int, n_feat: int) -> int:
     """
     m = config.controls
     n_gram, n_cross = n_feat * m * m, n_feat * m
-    n_cols = n_gram + n_cross + 1
+    n_cols = table_columns(config, n_feat)
     n_batch = -(-n_win // config.batch_size)
-    rows = min(max(1, CHUNK_ROWS // n_feat), n_win) * n_feat
+    rows = min(chunk_windows(n_feat), n_win) * n_feat
     budget = rows * koopman.rollout_bytes(config.order, config.horizon)
     held = 8 * n_batch * (n_cols + n_cross + 1)
     scan = 8 * n_batch * (2 * n_gram + 3 * n_cross)
@@ -308,14 +328,16 @@ class NormalEquations(NamedTuple):
 def normal_equations(config: ModelConfig, states, controls) -> NormalEquations:
     """Reduce every usable training window to its normal-equation sums, chunk by chunk.
 
-    Each chunk's alpha - y is formed in place, then its rows of the table
-    are written directly, so no array of every window's alpha or G exists.
-    Raises InputError unless at least one window is usable.
+    The table is allocated up front. Each chunk's alpha - y is formed in
+    place, then its rows of the table are written directly, and the chunk is
+    released before the next is rolled out: the peak is the table plus one
+    chunk's working set. Raises InputError unless at least one window is
+    usable.
     """
     states, controls = _as_2d(states, "states"), _as_2d(controls, "controls")
     n_win, n_feat, m = _window_count(config, states), states.shape[1], config.controls
     n_gram = n_feat * m * m
-    table = np.empty((n_win, n_gram + n_feat * m + 1))
+    table = np.empty((n_win, table_columns(config, n_feat)))
     n = 0
     for residual, G, y in _chunks(config, states, controls, "training"):
         k = residual.shape[0]
@@ -325,6 +347,7 @@ def normal_equations(config: ModelConfig, states, controls) -> NormalEquations:
         rows[:, n_gram:-1] = (residual[..., None, :] @ G).reshape(k, n_feat * m)
         np.einsum("wfh,wfh->w", residual, residual, out=rows[:, -1])
         n += k
+        del residual, G, y, rows
     return NormalEquations(table=table[:n], skipped=n_win - n)
 
 
@@ -397,7 +420,8 @@ def predict(model: FlightKoobaModel, c_state: hippo.CoefficientState,
     """Roll the companion system forward from a coefficient state.
 
     One forecast per row of u_future: alpha + G b from the same rollout the
-    training windows use.
+    training windows use. An empty u_future gives no forecast once the
+    feature, the control width and the coefficient state have been checked.
     """
     config = model.config
     u_future = np.asarray(u_future, dtype=float)
@@ -406,8 +430,6 @@ def predict(model: FlightKoobaModel, c_state: hippo.CoefficientState,
     if u_future.ndim != 2:
         raise InputError(f"u_future must be a (steps, controls) matrix, got shape "
                          f"{u_future.shape}")
-    if u_future.size == 0:
-        return np.empty(0)
     if u_future.shape[1] != config.controls:
         raise InputError(f"u_future has {u_future.shape[1]} control columns, "
                          f"config expects {config.controls}")
@@ -425,6 +447,8 @@ def predict(model: FlightKoobaModel, c_state: hippo.CoefficientState,
     if not finite.all():
         i = int(np.argmin(finite))
         raise InputError(f"coefficient state holds the non-finite value {c.flat[i]} at entry {i}")
+    if u_future.size == 0:
+        return np.empty(0)
     a = koopman.poly_ode_coeffs(c)
     alpha, G, ok = koopman.rollout(a, u_future, config.eff_dt_basis)
     koopman.require_defined(a, ok, config.eff_dt_basis)
@@ -438,8 +462,8 @@ def evaluate(model: FlightKoobaModel, states, controls) -> dict:
     """Per-feature and mean MSE of the trained model over the given rows.
 
     Each chunk's residual alpha + G b - y is formed in place in its alpha and
-    reduced to per-feature sums of squares, so no array of every window's
-    forecast exists.
+    reduced to per-feature sums of squares, and the chunk is released before
+    the next is rolled out, so the peak does not grow with the windows.
     """
     config = model.config
     states, controls = _as_2d(states, "states"), _as_2d(controls, "controls")
@@ -453,6 +477,7 @@ def evaluate(model: FlightKoobaModel, states, controls) -> dict:
         residual -= y
         sq_sum += np.einsum("wfh,wfh->f", residual, residual)
         n += residual.shape[0]
+        del residual, G, y
     per_feature = sq_sum / (n * config.horizon)
     return {
         "per_feature": [float(v) for v in per_feature],

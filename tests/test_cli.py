@@ -16,6 +16,7 @@ from kooba import (ConfigError, DegenerateCoefficientsError, InputError,
                    KoobaError, ModelConfig, NumericalError, TrainingAbortedError,
                    cli, fit, gen_lorenz, load_model, normalize, split_controls)
 from kooba.data import save_csv
+from kooba.model import chunk_windows, normal_equations
 
 from conftest import traced_peak
 
@@ -414,6 +415,59 @@ def test_memory_estimate_matches_a_traced_fit(tmp_path):
         estimate = json.loads((out / "report.json").read_text())["memory_bytes_estimate"]
         peak = traced_peak(fit, config, states[:split], controls[:split])
         assert abs(estimate - peak) <= 0.02 * peak, flags
+
+
+def flight_csv(path, controls, flat=0, rows=3000):
+    """A flight-track CSV: east and north (km), altitude (m) and ground speed
+    (m/s), then `controls` commanded rates. The first `flat` altitude samples
+    sit on the ground, at the column's minimum, where every window projects
+    to zero coefficients and has no companion system."""
+    rng = np.random.default_rng(controls)
+    t = np.arange(rows) * 0.25
+    altitude = 5000.0 + 800.0 * np.sin(t / 90.0) + 3.0 * rng.normal(size=rows)
+    altitude[:flat] = altitude.min() - 1.0
+    table = np.column_stack(
+        [np.cumsum(np.cos(t / 70.0)) * 0.05, np.cumsum(np.sin(t / 70.0)) * 0.05, altitude,
+         200.0 + 20.0 * np.sin(t / 40.0) + 0.5 * rng.normal(size=rows)]
+        + [10.0 * np.sign(np.sin(t / (30.0 + 7.0 * j))) for j in range(controls)])
+    save_csv(path, ["x_km", "y_km", "alt_m", "gs_ms"] + [f"climb{j}" for j in range(controls)],
+             table)
+    return f"csv:{path}"
+
+
+@pytest.mark.parametrize("dataset, flags", [
+    ("lorenz", []),
+    ("lorenz", ["--horizon", "8", "--stride", "4"]),
+    ("lorenz", ["--order", "12"]),
+    ("track", ["--method", "legt"]),
+    ("track-2", ["--method", "legt", "--controls", "2"]),
+    ("short", []),
+    ("grounded", []),
+], ids=["default", "h8-stride4", "order-12", "legt-track", "legt-track-2-controls",
+        "shorter-than-a-chunk", "first-chunk-degenerate"])
+def test_memory_estimate_matches_a_traced_table_build(dataset, flags, tmp_path, synthetic_csv):
+    # the CLI traces the table build over the first chunk's rows and adds the
+    # other windows' table rows; the whole build, traced, must agree
+    spec = {"lorenz": "lorenz", "short": f"csv:{synthetic_csv}"}.get(dataset) or flight_csv(
+        tmp_path / "track.csv", 2 if dataset == "track-2" else 1,
+        flat=300 if dataset == "grounded" else 0)
+    out = tmp_path / "out"
+    assert cli.main(["train", "--dataset", spec, *flags, "--epochs", "5",
+                     "--out", str(out)]) == cli.EXIT_OK
+    report = json.loads((out / "report.json").read_text())
+    assert cli.validate_report(report) == []
+    config = load_model(out / "model.json").config
+    _, (states, ctrl), _ = cli.load_dataset(spec, config.controls)
+    build = traced_peak(normal_equations, config, states, ctrl)
+    assert abs(report["memory_bytes_estimate"] - build) <= 0.01 * build
+    span = ((chunk_windows(states.shape[1]) - 1) * config.eff_stride + config.seq_len
+            + config.horizon)
+    if dataset == "short":
+        assert span > states.shape[0]
+    if dataset == "grounded":
+        # no window of the first chunk is usable, though fit found others
+        with pytest.raises(InputError, match="no usable training windows"):
+            normal_equations(config, states[:span], ctrl[:span])
 
 
 def test_import_loads_no_scipy():

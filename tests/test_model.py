@@ -13,8 +13,9 @@ from kooba import (ConfigError, DegenerateCoefficientsError, InputError,
                    load_model, normalize, predict, save_model, split_controls,
                    window_count, window_loss_grad)
 from kooba.hippo import CoefficientState, project
-from kooba.model import (CHUNK_ROWS, FlightKoobaModel, _descend, _epochs_per_block,
-                         build_basis, normal_equations)
+from kooba.model import (CHUNK_ROWS, MASK_ROWS, FlightKoobaModel, _descend,
+                         _epochs_per_block, _require_finite, build_basis, chunk_windows,
+                         normal_equations, table_columns)
 
 from conftest import realizable_series, traced_peak, whole_regression
 
@@ -246,6 +247,18 @@ def test_predict_edge_cases():
         c[entry] = value
         with pytest.raises(InputError, match=f"non-finite value {value} at entry {entry}$"):
             predict(model, CoefficientState(c=c), np.ones((3, 1)))
+    # an empty horizon gives no forecast only after every other check
+    empty = np.empty((0, 1))
+    with pytest.raises(InputError, match="feature index 7 out of range"):
+        predict(model, CoefficientState(c=[np.nan] * 4), empty, feature=7)
+    with pytest.raises(InputError, match="3 control columns"):
+        predict(model, CoefficientState(c=np.ones(9)), np.empty((0, 3)), feature=True)
+    with pytest.raises(InputError, match="feature must be an integer index"):
+        predict(model, state, empty, feature=True)
+    with pytest.raises(InputError, match="a model of order 3 needs 4 coefficients"):
+        predict(model, CoefficientState(c=np.ones(9)), empty)
+    with pytest.raises(InputError, match="non-finite value nan at entry 0$"):
+        predict(model, CoefficientState(c=[np.nan] * 4), empty)
 
 
 @pytest.mark.parametrize("length", [4, 9])
@@ -599,6 +612,32 @@ def test_evaluate_never_holds_the_whole_regression(lorenz_train):
     np.testing.assert_array_equal(controls, kept[1])
 
 
+@pytest.mark.parametrize("horizon", [1, 8])
+def test_each_chunk_is_released_before_the_next(horizon):
+    # the table build allocates its table up front and frees each chunk
+    # before it rolls out the next, so a second chunk adds its table rows and
+    # nothing else, and evaluate's peak does not grow with the chunks. Ten
+    # controls make a chunk's table rows (64 windows x 221 columns, 113,152
+    # bytes) large beside the few hundred bytes numpy caches between calls;
+    # order 10 keeps the rollout, not G^T G, at the high-water mark
+    config = ModelConfig(order=10, controls=10, horizon=horizon)
+    t = np.arange(2400.0)
+    states = np.column_stack([1.5 + np.sin(t / 5.3), 1.2 + np.cos(t / 7.9)])
+    controls = np.column_stack([np.sin(t / (3.1 + j)) for j in range(10)])
+    n = chunk_windows(states.shape[1])
+
+    def peak(fn, target, chunks):
+        rows = (chunks * n - 1) * config.eff_stride + config.seq_len + horizon
+        return traced_peak(fn, target, states[:rows], controls[:rows])
+
+    chunk_rows = n * 8 * table_columns(config, states.shape[1])
+    grown = peak(normal_equations, config, 2) - peak(normal_equations, config, 1)
+    assert grown == pytest.approx(chunk_rows, rel=0.01)
+    model = FlightKoobaModel(config=config, b=np.full((2, 10), 0.01))
+    one = peak(evaluate, model, 1)
+    assert max(peak(evaluate, model, k) for k in (2, 4)) <= 1.01 * one
+
+
 def _descend_on_whole_regression(config, states, controls):
     """fit's result from a table of the whole regression, or its abort message."""
     alpha, G, y, skipped = whole_regression(config, states, controls)
@@ -695,6 +734,20 @@ def test_non_finite_input_is_rejected_naming_its_cell(matrix, row, col, value, l
         assert str(info.value) == message
         np.testing.assert_array_equal(states, kept[0])
         np.testing.assert_array_equal(controls, kept[1])
+
+
+def test_finiteness_check_masks_one_block_of_rows_at_a_time():
+    # on a long series a whole-column mask would set the table build's peak,
+    # which the CLI traces over one chunk of rows only; a bad cell past the
+    # first block is still named by its column first, then its row
+    states = np.ones((5 * MASK_ROWS, 3))[:, :2]
+    assert traced_peak(_require_finite, states, "states") < 3 * MASK_ROWS
+    states = states.copy()
+    states[2 * MASK_ROWS + 5, 1] = np.nan
+    states[3 * MASK_ROWS, 0] = np.inf
+    with pytest.raises(InputError, match=f"column 0 holds the non-finite value inf at row "
+                                         f"{3 * MASK_ROWS}$"):
+        _require_finite(states, "states")
 
 
 def test_fit_aborts_at_the_first_non_finite_batch_loss(lorenz_train):
