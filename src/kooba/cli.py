@@ -4,11 +4,10 @@ Subcommands: train (fit + report), eval (rescore a saved model), bench
 (train + eval per dataset, one consolidated table). Reports are versioned
 JSON; wall time is measured around the fit call only and the
 memory column (memory_bytes_estimate) is the peak of building fit's table of
-per-window sums on the train split (model.normal_equations): the table plus
-one chunk's working set, traced over the first chunk (table_build_peak).
-Training stays below it at the default batch size on series of the default
-length; it is an allocator high-water estimate of fit, not device-resident
-bytes.
+per-window sums on the train split, as model.table_build_peak traces it after
+fit. Training stays below it at the default batch size on series of the
+default length; it is an allocator high-water estimate of fit, not
+device-resident bytes.
 
 Exit codes: 0 success, 2 bad configuration or input, 3 training aborted on a
 non-finite loss or another numerical failure, 4 I/O failure. KOOBA_LOG sets
@@ -24,14 +23,12 @@ import logging
 import os
 import sys
 import time
-import tracemalloc
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 from . import model as model_mod
-from .data import LorenzParams, gen_lorenz, load_csv, normalize, split_controls, window_count
-from .errors import (ConfigError, InputError, KoobaError, NumericalError,
-                     TrainingAbortedError)
+from .data import LorenzParams, gen_lorenz, load_csv, normalize, split_controls
+from .errors import ConfigError, KoobaError, NumericalError, TrainingAbortedError
 from .model import ModelConfig
 
 log = logging.getLogger(__name__)
@@ -159,33 +156,7 @@ def run_dataset(config: ModelConfig, spec: str) -> tuple[dict, model_mod.FlightK
     train_ms = (time.perf_counter() - t0) * 1e3
     scores = model_mod.evaluate(fitted, *test)
     return _scored_report("train", tag, config, fitted, scores, train_time_ms=train_ms,
-                          memory_bytes_estimate=table_build_peak(config, *train)), fitted
-
-
-def table_build_peak(config: ModelConfig, states, controls) -> int:
-    """Peak bytes of fit's table build, traced over one chunk of windows.
-
-    model.normal_equations allocates its table of per-window sums up front
-    and releases each chunk before it rolls out the next, so its peak is the
-    table plus one chunk's working set. The build runs under tracemalloc on
-    the rows the first chunk's windows span only, and the table rows of the
-    other windows are added. No timed call runs under tracemalloc.
-    """
-    n_feat = states.shape[1]
-    n_win = window_count(states.shape[0], config.seq_len, config.horizon, config.eff_stride)
-    k = min(model_mod.chunk_windows(n_feat), n_win)
-    span = (k - 1) * config.eff_stride + config.seq_len + config.horizon
-    tracemalloc.start()
-    try:
-        model_mod.normal_equations(config, states[:span], controls[:span])
-    except InputError:
-        # on rows fit accepted, only a first chunk whose every window was
-        # skipped raises; its rollout, which sets the peak, ran in full
-        pass
-    finally:
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
-    return peak + (n_win - k) * 8 * model_mod.table_columns(config, n_feat)
+                          memory_bytes_estimate=model_mod.table_build_peak(config, *train)), fitted
 
 
 def _scored_report(command: str, tag: str, config: ModelConfig,

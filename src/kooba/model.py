@@ -10,8 +10,9 @@ rollout is affine in the control weights b, so every window reduces to
 
 with alpha the control-free response and G the per-channel control response,
 both from koopman.rollout. One generator (_chunks) rolls the windows out a
-fixed chunk of window x feature rows at a time (chunk_windows), releasing
-each chunk before it rolls out the next, and predict rolls out one system.
+fixed chunk of window x feature rows at a time (_chunk_windows), releasing
+each chunk before it rolls out the next (table_build_peak states what that
+bounds), and predict rolls out one system.
 Each window's squared error is then a quadratic in b, so fit reduces every
 window to its normal-equation sums (G^T G, G^T (alpha - y) and
 ||alpha - y||^2) as its chunk is rolled out (normal_equations), and evaluate
@@ -31,6 +32,8 @@ from __future__ import annotations
 import json
 import logging
 import math
+import sys
+import tracemalloc
 from dataclasses import dataclass, field, asdict
 from typing import NamedTuple
 
@@ -136,12 +139,12 @@ CHUNK_ROWS = 128
 MASK_ROWS = 16384
 
 
-def chunk_windows(n_feat: int) -> int:
+def _chunk_windows(n_feat: int) -> int:
     """Windows per rollout chunk of n_feat features: CHUNK_ROWS rows, at least one window."""
     return max(1, CHUNK_ROWS // n_feat)
 
 
-def table_columns(config: ModelConfig, n_feat: int) -> int:
+def _table_columns(config: ModelConfig, n_feat: int) -> int:
     """Columns of fit's table of per-window sums (NormalEquations) for n_feat features."""
     m = config.controls
     return n_feat * (m * m + m) + 1
@@ -200,7 +203,7 @@ def _chunks(config: ModelConfig, states: np.ndarray, controls: np.ndarray, split
     n_rows, n_feat, _ = hist.shape
     kernel = hippo.build_kernel(build_basis(config), L)
     zero = hippo.init_state(config.order)
-    step = chunk_windows(n_feat)
+    step = _chunk_windows(n_feat)
     n_usable = 0
     for lo in range(0, n_rows, step):
         rows = slice(lo, lo + step)
@@ -249,9 +252,9 @@ def _epochs_per_block(config: ModelConfig, n_win: int, n_feat: int) -> int:
     """
     m = config.controls
     n_gram, n_cross = n_feat * m * m, n_feat * m
-    n_cols = table_columns(config, n_feat)
+    n_cols = _table_columns(config, n_feat)
     n_batch = -(-n_win // config.batch_size)
-    rows = min(chunk_windows(n_feat), n_win) * n_feat
+    rows = min(_chunk_windows(n_feat), n_win) * n_feat
     budget = rows * koopman.rollout_bytes(config.order, config.horizon)
     held = 8 * n_batch * (n_cols + n_cross + 1)
     scan = 8 * n_batch * (2 * n_gram + 3 * n_cross)
@@ -330,14 +333,13 @@ def normal_equations(config: ModelConfig, states, controls) -> NormalEquations:
 
     The table is allocated up front. Each chunk's alpha - y is formed in
     place, then its rows of the table are written directly, and the chunk is
-    released before the next is rolled out: the peak is the table plus one
-    chunk's working set. Raises InputError unless at least one window is
-    usable.
+    released before the next is rolled out (table_build_peak states the peak
+    this gives). Raises InputError unless at least one window is usable.
     """
     states, controls = _as_2d(states, "states"), _as_2d(controls, "controls")
     n_win, n_feat, m = _window_count(config, states), states.shape[1], config.controls
     n_gram = n_feat * m * m
-    table = np.empty((n_win, table_columns(config, n_feat)))
+    table = np.empty((n_win, _table_columns(config, n_feat)))
     n = 0
     for residual, G, y in _chunks(config, states, controls, "training"):
         k = residual.shape[0]
@@ -349,6 +351,42 @@ def normal_equations(config: ModelConfig, states, controls) -> NormalEquations:
         n += k
         del residual, G, y, rows
     return NormalEquations(table=table[:n], skipped=n_win - n)
+
+
+def table_build_peak(config: ModelConfig, states, controls) -> int:
+    """Peak bytes of fit's table build (normal_equations), traced over one chunk.
+
+    The rule behind the memory column: normal_equations allocates its table
+    of per-window sums up front and releases each chunk before it rolls out
+    the next, so its peak is the table plus one chunk's working set. The
+    build therefore runs under tracemalloc on the rows the first chunk's
+    windows span only, and the table rows of the other windows are added; no
+    timed call runs under tracemalloc. As the first call of its config in a
+    process it reads about 3.9% high, because first-use caches (koopman's
+    lru_caches, numpy's small-array caches) fall inside its short trace: call
+    it after fit on the same rows. Raises InputError, as fit does, when the
+    series has no window, or when the first chunk holds every window and all
+    of them are skipped.
+    """
+    states, controls = _as_2d(states, "states"), _as_2d(controls, "controls")
+    n_win, n_feat = _window_count(config, states), states.shape[1]
+    if n_win == 0 or n_feat == 0:
+        normal_equations(config, states, controls)      # raises, naming the fault
+    k = min(_chunk_windows(n_feat), n_win)
+    span = (k - 1) * config.eff_stride + config.seq_len + config.horizon
+    tracemalloc.start()
+    try:
+        normal_equations(config, states[:span], controls[:span])
+    except InputError:
+        # on rows fit accepts, only a first chunk whose every window was
+        # skipped raises; its rollout, which sets the peak, ran in full.
+        # When that chunk holds every window, fit raises the same
+        if k == n_win:
+            raise
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    return peak + (n_win - k) * 8 * _table_columns(config, n_feat)
 
 
 def fit(config: ModelConfig, states, controls) -> FlightKoobaModel:
@@ -424,12 +462,7 @@ def predict(model: FlightKoobaModel, c_state: hippo.CoefficientState,
     feature, the control width and the coefficient state have been checked.
     """
     config = model.config
-    u_future = np.asarray(u_future, dtype=float)
-    if u_future.ndim == 1:
-        u_future = u_future[:, None]
-    if u_future.ndim != 2:
-        raise InputError(f"u_future must be a (steps, controls) matrix, got shape "
-                         f"{u_future.shape}")
+    u_future = _as_2d(u_future, "u_future")
     if u_future.shape[1] != config.controls:
         raise InputError(f"u_future has {u_future.shape[1]} control columns, "
                          f"config expects {config.controls}")
@@ -437,8 +470,7 @@ def predict(model: FlightKoobaModel, c_state: hippo.CoefficientState,
         raise InputError(f"feature must be an integer index, got {feature!r}")
     if not 0 <= feature < model.n_features:
         raise InputError(f"feature index {feature} out of range")
-    if not np.all(np.isfinite(u_future)):
-        raise InputError("non-finite control input")
+    _require_finite(u_future, "u_future")
     c = np.asarray(c_state.c, dtype=float)
     if c.shape[-1:] != (config.order + 1,):
         raise InputError(f"coefficient state has shape {c.shape}; a model of order "
@@ -501,8 +533,13 @@ def save_model(model: FlightKoobaModel, path) -> None:
         fh.write("\n")
 
 
+def _finite_number(v) -> bool:
+    # a JSON integer beyond the float range is not finite either
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+
+
 def load_model(path) -> FlightKoobaModel:
-    """Read a model document, checking the format version and removed options."""
+    """Read a model document, checking the format version, removed options and field types."""
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -512,28 +549,33 @@ def load_model(path) -> FlightKoobaModel:
             raise ConfigError(f"model file {path} is not valid JSON "
                               f"(expected format version {MODEL_FORMAT}): {exc}") from exc
     version = doc.get("format") if isinstance(doc, dict) else None
-    if version != MODEL_FORMAT:
+    if type(version) is not int or version != MODEL_FORMAT:
         raise ConfigError(f"model file {path} has format version {version!r}, "
                           f"this build reads version {MODEL_FORMAT}")
     try:
         values = {**doc["config"]}
         for key, default in REMOVED_CONFIG_KEYS.items():
             value = values.pop(key, default)
-            if value != default:
+            if type(value) is not type(default) or value != default:
                 raise ConfigError(f"model file {path} sets {key} = {value!r}; that option "
                                   f"was removed and only its old default {default!r} loads")
         config = ModelConfig(**values)
-        b = np.asarray(doc["b"], dtype=float)
-        loss_history = [float(v) for v in doc["loss_history"]]
-        skipped = int(doc["skipped_windows"])
+        b, loss_history, skipped = doc["b"], doc["loss_history"], doc["skipped_windows"]
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"model file {path} is missing fields for format "
                           f"version {MODEL_FORMAT}: {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(f"model file {path}: b is not a numeric matrix, or loss_history "
-                          f"or skipped_windows is not numeric: {exc}") from exc
-    if b.ndim != 2 or b.shape[1] != config.controls or not np.all(np.isfinite(b)):
-        raise ConfigError(f"model file {path}: b must be a finite (features, "
-                          f"{config.controls}) matrix, got shape {b.shape}")
-    return FlightKoobaModel(config=config, b=b, loss_history=loss_history,
+    # JSON numbers only: text, booleans and non-finite values are not coerced
+    m = config.controls
+    if not (isinstance(b, list) and b and all(
+            isinstance(row, list) and len(row) == m and all(map(_finite_number, row))
+            for row in b)):
+        raise ConfigError(f"model file {path}: b is not a numeric matrix; expected a "
+                          f"non-empty list of rows of {m} finite numbers")
+    if not (isinstance(loss_history, list) and all(map(_finite_number, loss_history))):
+        raise ConfigError(f"model file {path}: loss_history must be a list of finite numbers")
+    if type(skipped) is not int or skipped < 0:
+        raise ConfigError(f"model file {path}: skipped_windows must be a non-negative "
+                          f"integer, got {skipped!r}")
+    return FlightKoobaModel(config=config, b=np.array(b, dtype=float),
+                            loss_history=[float(v) for v in loss_history],
                             skipped_windows=skipped)

@@ -16,7 +16,7 @@ from kooba import (ConfigError, DegenerateCoefficientsError, InputError,
                    KoobaError, ModelConfig, NumericalError, TrainingAbortedError,
                    cli, fit, gen_lorenz, load_model, normalize, split_controls)
 from kooba.data import save_csv
-from kooba.model import chunk_windows, normal_equations
+from kooba.model import _chunk_windows, normal_equations
 
 from conftest import traced_peak
 
@@ -446,7 +446,7 @@ def flight_csv(path, controls, flat=0, rows=3000):
 ], ids=["default", "h8-stride4", "order-12", "legt-track", "legt-track-2-controls",
         "shorter-than-a-chunk", "first-chunk-degenerate"])
 def test_memory_estimate_matches_a_traced_table_build(dataset, flags, tmp_path, synthetic_csv):
-    # the CLI traces the table build over the first chunk's rows and adds the
+    # table_build_peak traces the build over the first chunk's rows and adds the
     # other windows' table rows; the whole build, traced, must agree
     spec = {"lorenz": "lorenz", "short": f"csv:{synthetic_csv}"}.get(dataset) or flight_csv(
         tmp_path / "track.csv", 2 if dataset == "track-2" else 1,
@@ -460,7 +460,7 @@ def test_memory_estimate_matches_a_traced_table_build(dataset, flags, tmp_path, 
     _, (states, ctrl), _ = cli.load_dataset(spec, config.controls)
     build = traced_peak(normal_equations, config, states, ctrl)
     assert abs(report["memory_bytes_estimate"] - build) <= 0.01 * build
-    span = ((chunk_windows(states.shape[1]) - 1) * config.eff_stride + config.seq_len
+    span = ((_chunk_windows(states.shape[1]) - 1) * config.eff_stride + config.seq_len
             + config.horizon)
     if dataset == "short":
         assert span > states.shape[0]

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import logging
 from pathlib import Path
 
 import numpy as np
@@ -13,9 +14,9 @@ from kooba import (ConfigError, DegenerateCoefficientsError, InputError,
                    load_model, normalize, predict, save_model, split_controls,
                    window_count, window_loss_grad)
 from kooba.hippo import CoefficientState, project
-from kooba.model import (CHUNK_ROWS, MASK_ROWS, FlightKoobaModel, _descend,
-                         _epochs_per_block, _require_finite, build_basis, chunk_windows,
-                         normal_equations, table_columns)
+from kooba.model import (CHUNK_ROWS, MASK_ROWS, FlightKoobaModel, _chunk_windows, _descend,
+                         _epochs_per_block, _require_finite, _table_columns, build_basis,
+                         normal_equations, table_build_peak)
 
 from conftest import realizable_series, traced_peak, whole_regression
 
@@ -236,10 +237,12 @@ def test_predict_edge_cases():
     with pytest.raises(InputError, match="one coefficient vector"):
         predict(model, CoefficientState(c=np.stack([state.c, state.c])), np.ones((3, 1)))
     # one control column per step: a third axis is not a stack of forecasts
-    with pytest.raises(InputError, match=r"\(steps, controls\) matrix, got shape \(4, 1, 1\)"):
+    shape = r"u_future must be a \(time, features\) matrix, got shape \(4, 1, 1\)"
+    with pytest.raises(InputError, match=shape):
         predict(model, state, np.ones((4, 1, 1)))
     for value in (np.nan, np.inf):
-        with pytest.raises(InputError, match="non-finite control input"):
+        with pytest.raises(InputError,
+                           match=f"u_future column 0 holds the non-finite value {value} at row 1$"):
             predict(model, state, [[1.0], [value]])
     # a non-finite coefficient state is an input fault, named by its entry
     for entry, value in ((2, np.nan), (0, -np.inf)):
@@ -335,10 +338,12 @@ def test_golden_model_file_still_loads():
 
 @pytest.mark.parametrize("key, value", [("momentum", 0.6), ("teacher_forcing", True),
                                         ("s0", 0.5), ("dt_system", 0.1), ("omega", 4.0),
-                                        ("dt_basis", 0.3)])
+                                        ("dt_basis", 0.3), ("s0", True), ("momentum", False),
+                                        ("teacher_forcing", 0)])
 def test_model_file_setting_a_removed_option_is_rejected(tmp_path, key, value):
     # the golden file holds every removed option at its old default and loads;
-    # any other value names the option and fails like any bad config (exit 2)
+    # any other value, or the default's value of another JSON type, names the
+    # option and fails like any bad config (exit 2)
     doc = json.loads(GOLDEN.read_text(encoding="utf-8"))
     doc["config"][key] = value
     path = tmp_path / "model.json"
@@ -368,7 +373,15 @@ def test_ragged_weights_are_rejected(tmp_path):
     (None, "loss_history", [0.3, "fast"]), (None, "skipped_windows", "many"),
     (None, "b", [[0.1, 0.2], [0.3, 0.4]]), (None, "b", [[float("nan")], [0.1]]),
     ("config", "learning_rate", True), ("config", "learning_rate", "0.1"),
-], ids=["loss-text", "skipped-text", "b-columns", "b-nan", "lr-true", "lr-text"])
+    (None, "format", True), (None, "format", 1.0),
+    (None, "skipped_windows", "3"), (None, "skipped_windows", 2.9),
+    (None, "skipped_windows", True), (None, "skipped_windows", -4),
+    (None, "loss_history", "12"), (None, "loss_history", [0.3, float("nan")]),
+    (None, "b", [["0.5"], [0.1]]), (None, "b", [[True], [0.1]]), (None, "b", [[10**400], [0.1]]),
+], ids=["loss-text", "skipped-text", "b-columns", "b-nan", "lr-true", "lr-text",
+        "format-true", "format-float", "skipped-digit-text", "skipped-fraction",
+        "skipped-true", "skipped-negative", "loss-digit-text", "loss-nan", "b-cell-text",
+        "b-cell-true", "b-cell-beyond-float"])
 def test_malformed_model_file_exits_2(tmp_path, capsys, section, key, value):
     doc = json.loads(GOLDEN.read_text(encoding="utf-8"))
     (doc[section] if section else doc)[key] = value
@@ -440,7 +453,7 @@ def _rel(got, ref):
 @pytest.mark.parametrize("method", ["legs", "legt"])
 @pytest.mark.parametrize("horizon", [1, 8])
 @pytest.mark.parametrize("controls", [1, 2])
-def test_featurize_matches_step_api(method, horizon, controls):
+def test_chunked_rollout_and_predict_match_step_api(method, horizon, controls):
     # 70 windows x 2 features: the second chunk of rows is partial
     config = ModelConfig(method=method, order=5, horizon=horizon, stride=3,
                          controls=controls)
@@ -624,18 +637,35 @@ def test_each_chunk_is_released_before_the_next(horizon):
     t = np.arange(2400.0)
     states = np.column_stack([1.5 + np.sin(t / 5.3), 1.2 + np.cos(t / 7.9)])
     controls = np.column_stack([np.sin(t / (3.1 + j)) for j in range(10)])
-    n = chunk_windows(states.shape[1])
+    n = _chunk_windows(states.shape[1])
 
     def peak(fn, target, chunks):
         rows = (chunks * n - 1) * config.eff_stride + config.seq_len + horizon
         return traced_peak(fn, target, states[:rows], controls[:rows])
 
-    chunk_rows = n * 8 * table_columns(config, states.shape[1])
+    chunk_rows = n * 8 * _table_columns(config, states.shape[1])
     grown = peak(normal_equations, config, 2) - peak(normal_equations, config, 1)
     assert grown == pytest.approx(chunk_rows, rel=0.01)
     model = FlightKoobaModel(config=config, b=np.full((2, 10), 0.01))
     one = peak(evaluate, model, 1)
     assert max(peak(evaluate, model, k) for k in (2, 4)) <= 1.01 * one
+
+
+def test_table_build_peak_needs_a_usable_window(caplog):
+    # with no window to trace, or when the first chunk holds every window and
+    # all were skipped, the estimate raises what fit raises on the same rows
+    config = ModelConfig()
+    t = np.arange(5.0)
+    with caplog.at_level(logging.WARNING):
+        with pytest.raises(InputError, match=r"no usable training windows \(0 skipped\)$"):
+            table_build_peak(config, np.column_stack([np.sin(t), np.cos(t)]), t)
+    assert "series of 5 rows too short" in caplog.text
+    assert "series of 1 rows" not in caplog.text
+    # a flat history projects to zero coefficients: no window has a system
+    with pytest.raises(InputError, match=r"no usable training windows \(4 skipped\)$"):
+        table_build_peak(config, np.zeros((40, 2)), np.ones(40))
+    with pytest.raises(InputError, match="state matrix has no feature columns"):
+        table_build_peak(config, np.zeros((40, 0)), np.ones(40))
 
 
 def _descend_on_whole_regression(config, states, controls):
@@ -738,7 +768,7 @@ def test_non_finite_input_is_rejected_naming_its_cell(matrix, row, col, value, l
 
 def test_finiteness_check_masks_one_block_of_rows_at_a_time():
     # on a long series a whole-column mask would set the table build's peak,
-    # which the CLI traces over one chunk of rows only; a bad cell past the
+    # which table_build_peak traces over one chunk of rows only; a bad cell past the
     # first block is still named by its column first, then its row
     states = np.ones((5 * MASK_ROWS, 3))[:, :2]
     assert traced_peak(_require_finite, states, "states") < 3 * MASK_ROWS

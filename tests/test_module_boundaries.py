@@ -1,5 +1,7 @@
 """No kooba module reads a private name of another: each reaches the others
-through their public names only. The sources are parsed, not run."""
+through their public names only, and only model, which owns the chunk rule
+that fit's memory estimate depends on, traces allocations. The sources are
+parsed, not run."""
 
 import ast
 from pathlib import Path
@@ -47,3 +49,30 @@ def test_no_module_reads_another_modules_private_names(path):
 ], ids=["attribute", "aliased-module", "relative-import", "absolute-import", "public"])
 def test_private_reads_are_found(source, expected):
     assert private_reads(ast.parse(source)) == expected
+
+
+def imported_modules(tree):
+    """Top-level names of the absolute imports in the tree."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_only_model_imports_tracemalloc():
+    # the table-build trace stays beside the chunk rule it depends on
+    importers = [path.name for path in sorted(SRC.glob("*.py")) if "tracemalloc"
+                 in imported_modules(ast.parse(path.read_text(encoding="utf-8")))]
+    assert importers == ["model.py"]
+
+
+@pytest.mark.parametrize("source, expected", [
+    ("import tracemalloc", {"tracemalloc"}),
+    ("from tracemalloc import start", {"tracemalloc"}),
+    ("import os.path as p\nfrom . import model", {"os"}),
+], ids=["import", "from-import", "dotted-and-relative"])
+def test_imported_modules_are_found(source, expected):
+    assert imported_modules(ast.parse(source)) == expected
