@@ -2,16 +2,15 @@
 
 Subcommands: train (fit + report), eval (rescore a saved model), bench
 (train + eval per dataset, one consolidated table). Reports are versioned
-JSON; wall time is measured around the fit call only and the
-memory column (memory_bytes_estimate) is the peak of building fit's table of
-per-window sums on the train split, as model.table_build_peak traces it after
-fit. Training stays below it at the default batch size on series of the
-default length; it is an allocator high-water estimate of fit, not
-device-resident bytes.
+JSON that open with schema, command, seed and config (_report); wall time
+is measured around the fit call only, and the memory column
+(memory_bytes_estimate) is model.table_build_peak on the train split after
+fit, whose docstring states the rule it rests on. Rows reach the model
+through its one gate, so every input check is the model's.
 
 Exit codes: 0 success, 2 bad configuration or input, 3 training aborted on a
-non-finite loss or another numerical failure, 4 I/O failure. KOOBA_LOG sets
-the log level.
+non-finite loss, a non-finite score or another numerical failure, 4 I/O
+failure. KOOBA_LOG names the log level; any other value reads as warning.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from pathlib import Path
 from . import model as model_mod
 from .data import LorenzParams, gen_lorenz, load_csv, normalize, split_controls
 from .errors import ConfigError, KoobaError, NumericalError, TrainingAbortedError
-from .model import ModelConfig
+from .model import ModelConfig, is_finite_number
 
 log = logging.getLogger(__name__)
 
@@ -55,17 +54,14 @@ REPORT_FIELDS = {
 }
 
 
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
+# numbers follow the model-file rule (is_finite_number)
 _KINDS = {
-    "int": lambda v: _is_number(v) and isinstance(v, int),
+    "int": lambda v: is_finite_number(v) and isinstance(v, int),
     "str": lambda v: isinstance(v, str),
-    "number": _is_number,
-    "positive_number": lambda v: _is_number(v) and v > 0,
-    "positive_int": lambda v: _is_number(v) and isinstance(v, int) and v > 0,
-    "list[number]": lambda v: isinstance(v, list) and all(_is_number(x) for x in v),
+    "number": is_finite_number,
+    "positive_number": lambda v: is_finite_number(v) and v > 0,
+    "positive_int": lambda v: is_finite_number(v) and isinstance(v, int) and v > 0,
+    "list[number]": lambda v: isinstance(v, list) and all(map(is_finite_number, v)),
 }
 
 EXIT_OK = 0
@@ -140,14 +136,6 @@ def load_dataset(spec: str, controls: int) -> tuple[str, tuple, tuple]:
     return tag, (states[:k], ctrl[:k]), (states[k:], ctrl[k:])
 
 
-def config_echo(config: ModelConfig) -> dict:
-    doc = asdict(config)
-    doc["omega_effective"] = config.eff_omega
-    doc["dt_basis_effective"] = config.eff_dt_basis
-    doc["stride_effective"] = config.eff_stride
-    return doc
-
-
 def run_dataset(config: ModelConfig, spec: str) -> tuple[dict, model_mod.FlightKoobaModel]:
     """Train once, evaluate on the test split, and shape the report."""
     tag, train, test = load_dataset(spec, config.controls)
@@ -159,23 +147,29 @@ def run_dataset(config: ModelConfig, spec: str) -> tuple[dict, model_mod.FlightK
                           memory_bytes_estimate=model_mod.table_build_peak(config, *train)), fitted
 
 
+def _report(command: str, config: ModelConfig, **fields) -> dict:
+    """A report document: the schema, command, seed and config header, then fields."""
+    return {
+        "schema": SCHEMA_VERSION,
+        "command": command,
+        "seed": config.seed,
+        "config": {**asdict(config), "omega_effective": config.eff_omega,
+                   "dt_basis_effective": config.eff_dt_basis,
+                   "stride_effective": config.eff_stride},
+        **fields,
+    }
+
+
 def _scored_report(command: str, tag: str, config: ModelConfig,
                    fitted: model_mod.FlightKoobaModel, scores: dict, **own) -> dict:
     """A train or eval report, own fields last; scores is evaluate() on the test split."""
     m = config.controls
     total = fitted.parameter_count
-    return {
-        "schema": SCHEMA_VERSION,
-        "command": command,
-        "dataset": tag,
-        "seed": config.seed,
-        "config": config_echo(config),
-        "mse": {"per_feature": scores["per_feature"], "mean": scores["mean"]},
-        "parameters": {"controls": m, "total": total, "format": f"{m} / {total}"},
-        "loss_curve": [float(v) for v in fitted.loss_history],
-        "skipped_windows": scores["skipped_windows"],
-        **own,
-    }
+    return _report(command, config, dataset=tag,
+                   mse={"per_feature": scores["per_feature"], "mean": scores["mean"]},
+                   parameters={"controls": m, "total": total, "format": f"{m} / {total}"},
+                   loss_curve=[float(v) for v in fitted.loss_history],
+                   skipped_windows=scores["skipped_windows"], **own)
 
 
 def _write_json(path: Path, doc: dict) -> None:
@@ -253,16 +247,9 @@ def cmd_bench(ns: argparse.Namespace) -> int:
             log.error("dataset %s failed: %s", spec, exc)
             rows.append({"dataset": spec, "error": str(exc)})
             last_error_code = _exit_code_for(exc)
-    doc = {
-        "schema": SCHEMA_VERSION,
-        "command": "bench",
-        "seed": config.seed,
-        "config": config_echo(config),
-        "rows": rows,
-    }
     out = Path(ns.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "bench_report.json", doc)
+    _write_json(out / "bench_report.json", _report("bench", config, rows=rows))
     for tag, fitted in models.items():
         model_mod.save_model(fitted, out / f"{tag}_model.json")
     for row in rows:
@@ -324,8 +311,9 @@ def _exit_code_for(exc: Exception) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    level = os.environ.get("KOOBA_LOG", "warning").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
+    # a level name only: getLevelName gives an int for those and a string otherwise
+    level = logging.getLevelName(os.environ.get("KOOBA_LOG", "warning").upper())
+    logging.basicConfig(level=level if isinstance(level, int) else logging.WARNING,
                         format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     ns = parser.parse_args(argv)

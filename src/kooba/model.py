@@ -9,10 +9,12 @@ rollout is affine in the control weights b, so every window reduces to
     forecast = alpha + G b
 
 with alpha the control-free response and G the per-channel control response,
-both from koopman.rollout. One generator (_chunks) rolls the windows out a
-fixed chunk of window x feature rows at a time (_chunk_windows), releasing
-each chunk before it rolls out the next (table_build_peak states what that
-bounds), and predict rolls out one system.
+both from koopman.rollout. Every entry point that takes a series passes it
+through one gate (_windows), which checks the rows and cuts them into
+windows; one generator (_chunks) rolls those windows out a fixed chunk of
+window x feature rows at a time (_chunk_windows), releasing each chunk before
+it rolls out the next (table_build_peak states what that bounds), and
+predict rolls out one system.
 Each window's squared error is then a quadratic in b, so fit reduces every
 window to its normal-equation sums (G^T G, G^T (alpha - y) and
 ||alpha - y||^2) as its chunk is rolled out (normal_equations), and evaluate
@@ -40,7 +42,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import hippo, koopman
-from .data import window_count, windows
+from .data import windows
 from .errors import ConfigError, InputError, NumericalError, TrainingAbortedError
 
 log = logging.getLogger(__name__)
@@ -176,21 +178,14 @@ def _require_finite(arr: np.ndarray, name: str) -> None:
                                  f"{arr[row, j]} at row {row}")
 
 
-def _chunks(config: ModelConfig, states: np.ndarray, controls: np.ndarray, split: str):
-    """Affine pieces of the usable windows, CHUNK_ROWS window x feature rows at a time.
+def _windows(config: ModelConfig, states, controls):
+    """The gate into the model: check the rows, then cut them into windows.
 
-    Yields (alpha, G, y) of each chunk's usable windows, in window order:
-    forecast = alpha + G b, with alpha (k, F, h), G (k, F, h, m) and targets
-    y (k, F, h). A window is skipped when any feature's companion system is
-    undefined (a vanishing leading coefficient or a singular I - dt/2 A).
-    alpha and G are new arrays that the caller may overwrite; y is a view of
-    states when the chunk skips no window. The generator drops its own
-    references to a chunk before it rolls out the next, so once the caller
-    drops its own too, no two chunks are held at once. Raises InputError,
-    naming the split, once every window is rolled out if none was usable.
-    Rejects a states matrix with no column and any non-finite cell of either
-    matrix up front.
+    Rejects a matrix that is not (time, features), a control matrix of the
+    wrong width, a states matrix with no column and any non-finite cell of
+    either matrix, each with InputError; returns data.windows' views.
     """
+    states, controls = _as_2d(states, "states"), _as_2d(controls, "controls")
     if controls.shape[1] != config.controls:
         raise InputError(f"control matrix has {controls.shape[1]} columns, "
                          f"config expects {config.controls}")
@@ -198,10 +193,26 @@ def _chunks(config: ModelConfig, states: np.ndarray, controls: np.ndarray, split
         raise InputError("state matrix has no feature columns")
     _require_finite(states, "states")
     _require_finite(controls, "controls")
-    L, h = config.seq_len, config.horizon
-    hist, u_future, y = windows(states, controls, L, h, config.eff_stride)
+    return windows(states, controls, config.seq_len, config.horizon, config.eff_stride)
+
+
+def _chunks(config: ModelConfig, win, split: str):
+    """Affine pieces of the usable windows, CHUNK_ROWS window x feature rows at a time.
+
+    win is what _windows returns. Yields (alpha, G, y) of each chunk's usable
+    windows, in window order: forecast = alpha + G b, with alpha (k, F, h),
+    G (k, F, h, m) and targets y (k, F, h). A window is skipped when any
+    feature's companion system is undefined (a vanishing leading coefficient
+    or a singular I - dt/2 A). alpha and G are new arrays that the caller may
+    overwrite; y is a view of states when the chunk skips no window. The
+    generator drops its own references to a chunk before it rolls out the
+    next, so once the caller drops its own too, no two chunks are held at
+    once. Raises InputError, naming the split, once every window is rolled
+    out if none was usable.
+    """
+    hist, u_future, y = win
     n_rows, n_feat, _ = hist.shape
-    kernel = hippo.build_kernel(build_basis(config), L)
+    kernel = hippo.build_kernel(build_basis(config), config.seq_len)
     zero = hippo.init_state(config.order)
     step = _chunk_windows(n_feat)
     n_usable = 0
@@ -218,10 +229,6 @@ def _chunks(config: ModelConfig, states: np.ndarray, controls: np.ndarray, split
         del a, alpha, G, ok, usable
     if n_usable == 0:
         raise InputError(f"no usable {split} windows ({n_rows} skipped)")
-
-
-def _window_count(config: ModelConfig, states: np.ndarray) -> int:
-    return window_count(states.shape[0], config.seq_len, config.horizon, config.eff_stride)
 
 
 def window_loss_grad(alpha: np.ndarray, G: np.ndarray, y: np.ndarray,
@@ -328,20 +335,14 @@ class NormalEquations(NamedTuple):
     skipped: int            # windows dropped for an undefined companion system
 
 
-def normal_equations(config: ModelConfig, states, controls) -> NormalEquations:
-    """Reduce every usable training window to its normal-equation sums, chunk by chunk.
-
-    The table is allocated up front. Each chunk's alpha - y is formed in
-    place, then its rows of the table are written directly, and the chunk is
-    released before the next is rolled out (table_build_peak states the peak
-    this gives). Raises InputError unless at least one window is usable.
-    """
-    states, controls = _as_2d(states, "states"), _as_2d(controls, "controls")
-    n_win, n_feat, m = _window_count(config, states), states.shape[1], config.controls
+def _table(config: ModelConfig, win) -> NormalEquations:
+    """normal_equations over the windows _windows returned."""
+    n_win, n_feat = win[0].shape[:2]
+    m = config.controls
     n_gram = n_feat * m * m
     table = np.empty((n_win, _table_columns(config, n_feat)))
     n = 0
-    for residual, G, y in _chunks(config, states, controls, "training"):
+    for residual, G, y in _chunks(config, win, "training"):
         k = residual.shape[0]
         rows = table[n:n + k]
         np.subtract(residual, y, out=residual)
@@ -353,39 +354,53 @@ def normal_equations(config: ModelConfig, states, controls) -> NormalEquations:
     return NormalEquations(table=table[:n], skipped=n_win - n)
 
 
+def normal_equations(config: ModelConfig, states, controls) -> NormalEquations:
+    """Reduce every usable training window to its normal-equation sums, chunk by chunk.
+
+    The table is allocated up front. Each chunk's alpha - y is formed in
+    place, then its rows of the table are written directly, and the chunk is
+    released before the next is rolled out (table_build_peak states the peak
+    this gives). Raises InputError unless at least one window is usable.
+    """
+    return _table(config, _windows(config, states, controls))
+
+
 def table_build_peak(config: ModelConfig, states, controls) -> int:
     """Peak bytes of fit's table build (normal_equations), traced over one chunk.
 
     The rule behind the memory column: normal_equations allocates its table
     of per-window sums up front and releases each chunk before it rolls out
     the next, so its peak is the table plus one chunk's working set. The
-    build therefore runs under tracemalloc on the rows the first chunk's
-    windows span only, and the table rows of the other windows are added; no
-    timed call runs under tracemalloc. As the first call of its config in a
-    process it reads about 3.9% high, because first-use caches (koopman's
-    lru_caches, numpy's small-array caches) fall inside its short trace: call
-    it after fit on the same rows. Raises InputError, as fit does, when the
-    series has no window, or when the first chunk holds every window and all
-    of them are skipped.
+    gate and the build of the first chunk's windows therefore run under
+    tracemalloc, and the table rows of the other windows are added; no timed
+    call runs under tracemalloc. A caller that is already tracing keeps its
+    trace, but its peak is reset, and its own blocks are left out of the
+    result. As the first call of its config in a process it reads about 3.9%
+    high, because first-use caches (koopman's lru_caches, numpy's small-array
+    caches) fall inside its short trace: call it after fit on the same rows.
+    Raises fit's InputError on every row set that fit rejects.
     """
-    states, controls = _as_2d(states, "states"), _as_2d(controls, "controls")
-    n_win, n_feat = _window_count(config, states), states.shape[1]
-    if n_win == 0 or n_feat == 0:
-        normal_equations(config, states, controls)      # raises, naming the fault
-    k = min(_chunk_windows(n_feat), n_win)
-    span = (k - 1) * config.eff_stride + config.seq_len + config.horizon
-    tracemalloc.start()
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()             # does nothing when the caller is tracing
+    tracemalloc.reset_peak()
     try:
-        normal_equations(config, states[:span], controls[:span])
-    except InputError:
-        # on rows fit accepts, only a first chunk whose every window was
-        # skipped raises; its rollout, which sets the peak, ran in full.
-        # When that chunk holds every window, fit raises the same
-        if k == n_win:
-            raise
+        held = tracemalloc.get_traced_memory()[0]
+        win = _windows(config, states, controls)
+        n_win, n_feat = win[0].shape[:2]
+        k = min(_chunk_windows(n_feat), n_win)
+        # the first chunk's views stand in for the whole series' views
+        win = tuple(part[:k] for part in win)
+        try:
+            _table(config, win)
+        except InputError:
+            # every window of the first chunk was skipped; its rollout, which
+            # sets the peak, ran in full. When it holds every window, fit raises
+            if k == n_win:
+                raise
+        peak = tracemalloc.get_traced_memory()[1] - held
     finally:
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
+        if not tracing:
+            tracemalloc.stop()
     return peak + (n_win - k) * 8 * _table_columns(config, n_feat)
 
 
@@ -434,9 +449,8 @@ def closed_form_b(config: ModelConfig, states, controls) -> ClosedFormResult:
     Solves min_b sum_w ||alpha_w + G_w b - y_w||^2 per feature. Rank-deficient
     designs fall back to the minimum-norm solution and flag the feature.
     """
-    states, controls = _as_2d(states, "states"), _as_2d(controls, "controls")
-    alpha, G, y = (np.concatenate(pieces)
-                   for pieces in zip(*_chunks(config, states, controls, "training")))
+    win = _windows(config, states, controls)
+    alpha, G, y = (np.concatenate(pieces) for pieces in zip(*_chunks(config, win, "training")))
     n_feat = y.shape[1]
     b = np.empty((n_feat, config.controls))
     flags: list[bool] = []
@@ -496,26 +510,32 @@ def evaluate(model: FlightKoobaModel, states, controls) -> dict:
     Each chunk's residual alpha + G b - y is formed in place in its alpha and
     reduced to per-feature sums of squares, and the chunk is released before
     the next is rolled out, so the peak does not grow with the windows.
+    Raises NumericalError, naming the features, when an MSE is not finite.
     """
     config = model.config
-    states, controls = _as_2d(states, "states"), _as_2d(controls, "controls")
-    if states.shape[1] != model.n_features:
-        raise InputError(f"model was trained on {model.n_features} features, "
-                         f"got {states.shape[1]}")
-    sq_sum = np.zeros(model.n_features)
+    win = _windows(config, states, controls)
+    n_win, n_feat = win[0].shape[:2]
+    if n_feat != model.n_features:
+        raise InputError(f"model was trained on {model.n_features} features, got {n_feat}")
+    sq_sum = np.zeros(n_feat)
     n = 0
-    for residual, G, y in _chunks(config, states, controls, "evaluation"):
-        residual += (G @ model.b[..., None])[..., 0]
-        residual -= y
-        sq_sum += np.einsum("wfh,wfh->f", residual, residual)
+    for residual, G, y in _chunks(config, win, "evaluation"):
+        # a diverging rollout or b overflows; the check below names the features
+        with np.errstate(over="ignore", invalid="ignore"):
+            residual += (G @ model.b[..., None])[..., 0]
+            residual -= y
+            sq_sum += np.einsum("wfh,wfh->f", residual, residual)
         n += residual.shape[0]
         del residual, G, y
     per_feature = sq_sum / (n * config.horizon)
+    bad = np.flatnonzero(~np.isfinite(per_feature))
+    if bad.size:
+        raise NumericalError(f"non-finite MSE for feature(s) {bad.tolist()}")
     return {
         "per_feature": [float(v) for v in per_feature],
         "mean": float(np.mean(per_feature)),
         "windows": n,
-        "skipped_windows": _window_count(config, states) - n,
+        "skipped_windows": n_win - n,
     }
 
 
@@ -533,8 +553,9 @@ def save_model(model: FlightKoobaModel, path) -> None:
         fh.write("\n")
 
 
-def _finite_number(v) -> bool:
-    # a JSON integer beyond the float range is not finite either
+def is_finite_number(v) -> bool:
+    """A finite JSON number: an int or float, not a bool, NaN, an infinity or
+    an integer beyond the float range; the rule for model files and reports."""
     return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
@@ -567,11 +588,11 @@ def load_model(path) -> FlightKoobaModel:
     # JSON numbers only: text, booleans and non-finite values are not coerced
     m = config.controls
     if not (isinstance(b, list) and b and all(
-            isinstance(row, list) and len(row) == m and all(map(_finite_number, row))
+            isinstance(row, list) and len(row) == m and all(map(is_finite_number, row))
             for row in b)):
         raise ConfigError(f"model file {path}: b is not a numeric matrix; expected a "
                           f"non-empty list of rows of {m} finite numbers")
-    if not (isinstance(loss_history, list) and all(map(_finite_number, loss_history))):
+    if not (isinstance(loss_history, list) and all(map(is_finite_number, loss_history))):
         raise ConfigError(f"model file {path}: loss_history must be a list of finite numbers")
     if type(skipped) is not int or skipped < 0:
         raise ConfigError(f"model file {path}: skipped_windows must be a non-negative "

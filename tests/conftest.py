@@ -5,7 +5,7 @@ import pytest
 
 from kooba import FlightKoobaModel, ModelConfig, predict
 from kooba.hippo import project
-from kooba.model import _chunks, _window_count, build_basis
+from kooba.model import _chunks, _windows, build_basis
 
 
 def traced_peak(fn, *args):
@@ -21,9 +21,9 @@ def traced_peak(fn, *args):
 
 def whole_regression(config, states, controls):
     """alpha, G and y of every usable window, stacked, and the skipped count."""
-    alpha, G, y = (np.concatenate(pieces)
-                   for pieces in zip(*_chunks(config, states, controls, "training")))
-    return alpha, G, y, _window_count(config, states) - alpha.shape[0]
+    win = _windows(config, states, controls)
+    alpha, G, y = (np.concatenate(pieces) for pieces in zip(*_chunks(config, win, "training")))
+    return alpha, G, y, win[0].shape[0] - alpha.shape[0]
 
 
 def realizable_series(config, b_star, n_windows, seed, ctrl_scale=5.0):

@@ -1,5 +1,6 @@
 import argparse
 import json
+import logging
 import os
 import re
 import subprocess
@@ -372,8 +373,27 @@ def test_validate_report_catches_problems(tmp_path, synthetic_csv):
             ({**ev, "mse": {**ev["mse"], "per_feature": [1, "a"]}},
              ["mse.per_feature: expected list[number], got [1, 'a']"]),
             ({**report, "command": "bench", "rows": [row]},
-             ["rows[0].seed: expected int, got None"])]:
+             ["rows[0].seed: expected int, got None"]),
+            # numbers follow the model-file rule: finite, and an integer within
+            # the float range
+            ({**report, "mse": {**report["mse"], "mean": float("nan")}},
+             ["mse.mean: expected number, got nan"]),
+            ({**report, "loss_curve": [0.5, float("inf")]},
+             ["loss_curve: expected list[number], got [0.5, inf]"]),
+            ({**report, "seed": 10**400}, [f"seed: expected int, got {10**400!r}"])]:
         assert cli.validate_report(doc) == problems
+
+
+@pytest.mark.parametrize("value, level", [
+    ("info", logging.INFO), ("DEBUG", logging.DEBUG), ("basic_format", logging.WARNING),
+    ("loud", logging.WARNING), ("20", logging.WARNING)])
+def test_kooba_log_takes_level_names_only(value, level, monkeypatch, tmp_path):
+    # BASIC_FORMAT is a logging attribute but no level: it reads as warning
+    seen = []
+    monkeypatch.setenv("KOOBA_LOG", value)
+    monkeypatch.setattr(logging, "basicConfig", lambda **kw: seen.append(kw["level"]))
+    assert cli.main(["train", "--dataset", "nope", "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+    assert seen == [level]
 
 
 def test_eval_rejects_model_flags(tmp_path, synthetic_csv, capsys):

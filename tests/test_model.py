@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import logging
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -187,11 +188,44 @@ def test_fit_input_checks():
         fit(config, np.zeros((40, 1, 1)), np.zeros((40, 2)))
 
 
-def test_states_without_columns_are_rejected():
-    states, controls = np.zeros((40, 0)), np.ones((40, 1))
-    for call in (fit, normal_equations, closed_form_b):
-        with pytest.raises(InputError, match="state matrix has no feature columns"):
-            call(ModelConfig(), states, controls)
+def _gate_rows(case):
+    """A 3,000-row, two-feature, one-control series spoiled as case says, and
+    the text every entry point must raise on it."""
+    t = np.arange(3000.0)
+    states, controls = np.column_stack([np.sin(t / 9), np.cos(t / 13)]), np.sin(t / 7)[:, None]
+    if case == "nan-at-row-10":
+        states[10, 0] = np.nan
+        return states, controls, "states column 0 holds the non-finite value nan at row 10"
+    if case == "nan-past-the-first-chunk":
+        states[2000, 1] = np.nan
+        return states, controls, "states column 1 holds the non-finite value nan at row 2000"
+    if case == "wrong-control-width":
+        return (states, np.column_stack([controls, controls]),
+                "control matrix has 2 columns, config expects 1")
+    if case == "no-state-column":
+        return states[:, :0], controls, "state matrix has no feature columns"
+    return states[:5], controls[:5], "no usable {split} windows (0 skipped)"
+
+
+@pytest.mark.parametrize("case", ["nan-at-row-10", "nan-past-the-first-chunk",
+                                  "wrong-control-width", "no-state-column", "five-rows"])
+def test_every_entry_point_rejects_what_the_gate_rejects(case, caplog):
+    # the rows pass one gate, so each entry point raises the same text; the
+    # memory estimate included, though it rolls out the first chunk only
+    states, controls, message = _gate_rows(case)
+    config = ModelConfig()
+    model = FlightKoobaModel(config=config, b=np.zeros((2, 1)))
+    for call, first, split in ((fit, config, "training"), (normal_equations, config, "training"),
+                               (evaluate, model, "evaluation"),
+                               (closed_form_b, config, "training"),
+                               (table_build_peak, config, "training")):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING):
+            with pytest.raises(InputError) as info:
+                call(first, states, controls)
+        assert str(info.value) == message.format(split=split), call.__name__
+        assert caplog.text.count("too short") == (case == "five-rows"), call.__name__
+        assert not tracemalloc.is_tracing()
 
 
 def test_predict_is_affine_in_weights(realizable_fixture):
@@ -391,6 +425,26 @@ def test_malformed_model_file_exits_2(tmp_path, capsys, section, key, value):
                    "--out", str(tmp_path / "ev")])
     assert rc == cli.EXIT_CONFIG
     assert key in capsys.readouterr().err
+    assert not (tmp_path / "ev").exists()
+
+
+def test_non_finite_score_raises_naming_the_features(lorenz_train):
+    states, controls = lorenz_train
+    model = FlightKoobaModel(config=ModelConfig(), b=np.array([[1e300], [0.0]]))
+    with pytest.raises(NumericalError, match=r"^non-finite MSE for feature\(s\) \[0\]$"):
+        evaluate(model, states, controls)
+
+
+def test_non_finite_score_exits_3(tmp_path, capsys):
+    # b is finite, so the file loads; its score is not, and no report is written
+    doc = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    doc["b"] = [[1e300], [1e300]]
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    rc = cli.main(["eval", "--model", str(path), "--dataset", "lorenz",
+                   "--out", str(tmp_path / "ev")])
+    assert rc == cli.EXIT_TRAINING
+    assert capsys.readouterr().err == "error: non-finite MSE for feature(s) [0, 1]\n"
     assert not (tmp_path / "ev").exists()
 
 
@@ -666,6 +720,23 @@ def test_table_build_peak_needs_a_usable_window(caplog):
         table_build_peak(config, np.zeros((40, 2)), np.ones(40))
     with pytest.raises(InputError, match="state matrix has no feature columns"):
         table_build_peak(config, np.zeros((40, 0)), np.ones(40))
+
+
+def test_table_build_peak_keeps_a_callers_trace(lorenz_train):
+    # a caller that is tracing keeps its trace, and its own blocks (here a
+    # 1 MB array) are left out of the estimate
+    config = ModelConfig()
+    table_build_peak(config, *lorenz_train)
+    plain = table_build_peak(config, *lorenz_train)
+    tracemalloc.start()
+    try:
+        held = np.ones(1 << 17)
+        traced = table_build_peak(config, *lorenz_train)
+        assert tracemalloc.is_tracing()
+    finally:
+        tracemalloc.stop()
+    assert held.nbytes == 1 << 20
+    assert abs(traced - plain) <= 0.01 * plain
 
 
 def _descend_on_whole_regression(config, states, controls):
