@@ -25,10 +25,10 @@ import time
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
-from . import model as model_mod
+from . import hippo, model as model_mod
 from .data import LorenzParams, gen_lorenz, load_csv, normalize, split_controls
 from .errors import ConfigError, KoobaError, NumericalError, TrainingAbortedError
-from .model import ModelConfig, is_finite_number
+from .model import ModelConfig, is_finite_number, is_integer
 
 log = logging.getLogger(__name__)
 
@@ -54,13 +54,13 @@ REPORT_FIELDS = {
 }
 
 
-# numbers follow the model-file rule (is_finite_number)
+# numbers and integers follow the model-file rules (is_finite_number, is_integer)
 _KINDS = {
-    "int": lambda v: is_finite_number(v) and isinstance(v, int),
+    "int": is_integer,
     "str": lambda v: isinstance(v, str),
     "number": is_finite_number,
     "positive_number": lambda v: is_finite_number(v) and v > 0,
-    "positive_int": lambda v: is_finite_number(v) and isinstance(v, int) and v > 0,
+    "positive_int": lambda v: is_integer(v) and v > 0,
     "list[number]": lambda v: isinstance(v, list) and all(map(is_finite_number, v)),
 }
 
@@ -85,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
         if not model_flags:
             return
         # each model flag's dest is the ModelConfig field it sets (make_config)
-        p.add_argument("--method", choices=["legt", "legs"])
+        p.add_argument("--method", choices=hippo.METHODS)
         p.add_argument("--order", type=int)
         p.add_argument("--controls", type=int)
         p.add_argument("--seq-len", dest="seq_len", type=int)
@@ -261,12 +261,16 @@ def cmd_bench(ns: argparse.Namespace) -> int:
     return EXIT_OK if models else last_error_code
 
 
-def validate_report(doc: dict) -> list[str]:
+def validate_report(doc) -> list[str]:
     """Check a report document against REPORT_FIELDS; returns problems.
+
+    A document that is not an object is one problem.
 
     An absent key of the document is a missing field; an absent key of a
     nested object or a row reads as None.
     """
+    if not isinstance(doc, dict):
+        return [f"report: expected an object, got {doc!r}"]
     problems: list[str] = []
 
     def walk(obj: dict, shape: dict, prefix: str) -> None:

@@ -243,7 +243,11 @@ def split_controls(dataset: TimeSeriesDataset, k: int) -> tuple[np.ndarray, np.n
 
 
 def window_count(n_rows: int, seq_len: int, horizon: int, stride: int) -> int:
+    """Windows of seq_len + horizon rows, stride apart, in n_rows rows: zero,
+    with a warning, when the series is too short for one."""
     if n_rows < seq_len + horizon:
+        log.warning("series of %d rows too short for seq_len %d + horizon %d",
+                    n_rows, seq_len, horizon)
         return 0
     return (n_rows - seq_len - horizon) // stride + 1
 
@@ -253,7 +257,7 @@ def windows(states: np.ndarray, controls: np.ndarray, seq_len: int, horizon: int
     """Every window as a view of the series: histories (W, F_state, seq_len),
     future controls (W, horizon, F_control) and targets (W, F_state, horizon).
 
-    Window w starts at row w * stride; W is window_count(...), zero (with a
+    Window w starts at row w * stride; W is window_count(...), zero (with its
     warning) when the series is too short.
     """
     if seq_len < 1 or horizon < 1 or stride < 1:
@@ -262,9 +266,7 @@ def windows(states: np.ndarray, controls: np.ndarray, seq_len: int, horizon: int
     n_rows = states.shape[0]
     if controls.shape[0] != n_rows:
         raise InputError("states and controls are not aligned in time")
-    if n_rows < seq_len + horizon:
-        log.warning("series of %d rows too short for seq_len %d + horizon %d",
-                    n_rows, seq_len, horizon)
+    if window_count(n_rows, seq_len, horizon, stride) == 0:
         return (np.empty((0, states.shape[1], seq_len)),
                 np.empty((0, horizon, controls.shape[1])),
                 np.empty((0, states.shape[1], horizon)))

@@ -23,6 +23,7 @@ import numpy as np
 from .errors import ConfigError, InputError, NumericalError
 
 _STABILITY_SLACK = 1e-6
+METHODS = ("legt", "legs")      # the operator families; ModelConfig and the CLI take these
 
 
 def build_continuous(method: str, order: int,
@@ -51,7 +52,7 @@ def build_continuous(method: str, order: int,
         m_vec = np.sqrt(2 * (2 * n_idx + 1)).astype(float)
         return n_mat, m_vec
 
-    raise ConfigError(f"unknown method {method!r}, expected 'legt' or 'legs'")
+    raise ConfigError(f"unknown method {method!r}, expected one of {METHODS}")
 
 
 def discretize_bilinear(n_mat: np.ndarray, m_vec: np.ndarray,

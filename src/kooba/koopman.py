@@ -46,12 +46,19 @@ DEGENERATE_TOL = 1e-12
 SINGULAR_TOL = 1e-14
 
 
-def check_order(order: int) -> None:
-    """Reject orders whose factorial-sized rescaling exceeds float precision."""
-    if order > MAX_DIRECT_ORDER:
-        raise ConfigError(
-            f"order {order} needs factorial products beyond exact double precision "
-            f"(factorials are exactly representable only up to about {MAX_DIRECT_ORDER}!)")
+def check_order(order) -> None:
+    """The order rule: an int from 1 to MAX_DIRECT_ORDER, else ConfigError.
+
+    ModelConfig applies it to its order field, and poly_ode_coeffs,
+    build_companion, companion_discrete (so rollout and build_system too) and
+    lift_initial_state to the order they are given. Order 0 leaves the lifted
+    state empty, and beyond MAX_DIRECT_ORDER the factorial-sized rescaling is
+    no longer exact in double precision.
+    """
+    if type(order) is not int or not 1 <= order <= MAX_DIRECT_ORDER:
+        raise ConfigError(f"order must be an integer from 1 to {MAX_DIRECT_ORDER}, got {order!r} "
+                          f"(order 0 has no lifted state, and beyond {MAX_DIRECT_ORDER} the "
+                          f"factorial rescaling is not exact in double precision)")
 
 
 def _falling(n: int) -> list[float]:
@@ -101,8 +108,7 @@ def build_companion(a) -> tuple[np.ndarray, np.ndarray]:
     """
     a = np.asarray(a, dtype=float)
     n = a.shape[-1] - 1
-    if n == 0:
-        raise ConfigError("order 0 is unsupported: the state vector would be empty")
+    check_order(n)
     if np.any(np.abs(a[..., n]) < DEGENERATE_TOL):
         raise DegenerateCoefficientsError(
             f"leading coefficient |a_n| = {np.min(np.abs(a[..., n])):.3e}")
@@ -128,8 +134,7 @@ def lift_initial_state(order: int) -> LiftedState:
     p_{n-j+1}(1) = 1, the derivative stack under the same rescaled chain rule
     the coefficient transform assumes.
     """
-    if order < 1:
-        raise ConfigError("order 0 is unsupported: the state vector would be empty")
+    check_order(order)
     x = np.array(_falling(order)[:0:-1])
     return LiftedState(x=x, x1_prev=float(x[0]))
 
@@ -188,8 +193,7 @@ def companion_discrete(a, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray
         raise ConfigError(f"step size must be positive, got {dt}")
     a = np.asarray(a, dtype=float)
     n = a.shape[-1] - 1
-    if n == 0:
-        raise ConfigError("order 0 is unsupported: the state vector would be empty")
+    check_order(n)
     ok = np.abs(a[..., n]) >= DEGENERATE_TOL
     a_n = np.where(ok, a[..., n], 1.0)
     half = dt / 2.0

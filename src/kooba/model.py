@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 import sys
 import tracemalloc
 from dataclasses import dataclass, field, asdict
@@ -42,7 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import hippo, koopman
-from .data import windows
+from .data import window_count, windows
 from .errors import ConfigError, InputError, NumericalError, TrainingAbortedError
 
 log = logging.getLogger(__name__)
@@ -52,10 +51,42 @@ MODEL_FORMAT = 1
 # at its old default, given here, and rejects any other value
 REMOVED_CONFIG_KEYS = {"momentum": 0.0, "teacher_forcing": False, "extended_order": False,
                        "s0": 1.0, "dt_system": None, "omega": None, "dt_basis": None}
+# int64's largest: the most any integer of a config, a model file or a report holds
+INT_MAX = 2**63 - 1
+
+
+def is_finite_number(v) -> bool:
+    """A finite JSON number: an int or float, not a bool, NaN, an infinity or
+    an integer beyond the float range; the rule for model files and reports."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+
+
+def is_integer(v) -> bool:
+    """An int, not a bool, within int64's range: the integer rule for configs,
+    model files and reports."""
+    return isinstance(v, int) and not isinstance(v, bool) and -INT_MAX - 1 <= v <= INT_MAX
+
+
+def check_integer(name: str, v, least: int) -> None:
+    """Raise ConfigError, naming the value as name, unless is_integer(v) and v >= least."""
+    if not (is_integer(v) and v >= least):
+        raise ConfigError(f"{name} must be an integer from {least} to {INT_MAX}, got {v!r}")
+
+
+# least value of each integer field but order, whose bounds are koopman.check_order's
+_LEAST = {"controls": 1, "seq_len": 1, "horizon": 1, "epochs": 1, "batch_size": 1,
+          "stride": 1, "seed": 0}
 
 
 @dataclass(frozen=True)
 class ModelConfig:
+    """Model settings, checked when built.
+
+    method is one of hippo.METHODS and order follows koopman.check_order.
+    Every other integer field follows check_integer from its least value in
+    _LEAST (stride may also be None), and learning_rate is a positive finite
+    number (is_finite_number). Any other value raises ConfigError.
+    """
     method: str = "legs"
     order: int = 6
     controls: int = 1
@@ -68,33 +99,15 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("order", "controls", "seq_len", "horizon", "epochs", "batch_size",
-                     "stride", "seed"):
-            v = getattr(self, name)
-            if type(v) is not int and not (name == "stride" and v is None):
-                raise ConfigError(f"{name} must be an integer, got {v!r}")
-        if self.method not in ("legt", "legs"):
-            raise ConfigError(f"method must be 'legt' or 'legs', got {self.method!r}")
-        if self.order < 1:
-            raise ConfigError(f"order must be at least 1, got {self.order}")
+        if self.method not in hippo.METHODS:
+            raise ConfigError(f"method must be one of {hippo.METHODS}, got {self.method!r}")
         koopman.check_order(self.order)
-        if self.controls < 1:
-            raise ConfigError(f"need at least one control feature, got {self.controls}")
-        if self.seq_len < 1 or self.horizon < 1:
-            raise ConfigError(f"seq_len and horizon must be positive, got "
-                              f"({self.seq_len}, {self.horizon})")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ConfigError(f"epochs and batch_size must be positive, got "
-                              f"({self.epochs}, {self.batch_size})")
-        if self.stride is not None and self.stride < 1:
-            raise ConfigError(f"stride must be positive, got {self.stride}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        for name, least in _LEAST.items():
+            if not (name == "stride" and self.stride is None):
+                check_integer(name, getattr(self, name), least)
         lr = self.learning_rate
-        if isinstance(lr, bool) or not isinstance(lr, (int, float)):
-            raise ConfigError(f"learning_rate must be a number, got {lr!r}")
-        if not 0 < lr < math.inf:
-            raise ConfigError(f"learning_rate must be positive and finite, got {lr}")
+        if not (is_finite_number(lr) and lr > 0):
+            raise ConfigError(f"learning_rate must be a positive finite number, got {lr!r}")
 
     @property
     def eff_stride(self) -> int:
@@ -178,21 +191,32 @@ def _require_finite(arr: np.ndarray, name: str) -> None:
                                  f"{arr[row, j]} at row {row}")
 
 
-def _windows(config: ModelConfig, states, controls):
+def _control_matrix(config: ModelConfig, arr, name: str) -> np.ndarray:
+    """The control rule of the gate and predict: a (time, config.controls)
+    matrix of finite cells, else InputError naming the matrix."""
+    arr = _as_2d(arr, name)
+    if arr.shape[1] != config.controls:
+        raise InputError(f"{name} has {arr.shape[1]} columns, config expects {config.controls}")
+    _require_finite(arr, name)
+    return arr
+
+
+def _windows(config: ModelConfig, states, controls, split: str):
     """The gate into the model: check the rows, then cut them into windows.
 
-    Rejects a matrix that is not (time, features), a control matrix of the
-    wrong width, a states matrix with no column and any non-finite cell of
-    either matrix, each with InputError; returns data.windows' views.
+    Applies the control rule (_control_matrix) to controls and rejects a
+    states matrix that is not (time, features), has no column or holds a
+    non-finite cell, each with InputError. Rows too short for one window
+    raise InputError naming the split before anything is sized by seq_len
+    or horizon. Returns data.windows' views.
     """
-    states, controls = _as_2d(states, "states"), _as_2d(controls, "controls")
-    if controls.shape[1] != config.controls:
-        raise InputError(f"control matrix has {controls.shape[1]} columns, "
-                         f"config expects {config.controls}")
+    states = _as_2d(states, "states")
+    controls = _control_matrix(config, controls, "controls")
     if states.shape[1] == 0:
         raise InputError("state matrix has no feature columns")
     _require_finite(states, "states")
-    _require_finite(controls, "controls")
+    if window_count(states.shape[0], config.seq_len, config.horizon, config.eff_stride) == 0:
+        raise InputError(f"no usable {split} windows (0 skipped)")
     return windows(states, controls, config.seq_len, config.horizon, config.eff_stride)
 
 
@@ -362,7 +386,7 @@ def normal_equations(config: ModelConfig, states, controls) -> NormalEquations:
     released before the next is rolled out (table_build_peak states the peak
     this gives). Raises InputError unless at least one window is usable.
     """
-    return _table(config, _windows(config, states, controls))
+    return _table(config, _windows(config, states, controls, "training"))
 
 
 def table_build_peak(config: ModelConfig, states, controls) -> int:
@@ -385,7 +409,7 @@ def table_build_peak(config: ModelConfig, states, controls) -> int:
     tracemalloc.reset_peak()
     try:
         held = tracemalloc.get_traced_memory()[0]
-        win = _windows(config, states, controls)
+        win = _windows(config, states, controls, "training")
         n_win, n_feat = win[0].shape[:2]
         k = min(_chunk_windows(n_feat), n_win)
         # the first chunk's views stand in for the whole series' views
@@ -449,7 +473,7 @@ def closed_form_b(config: ModelConfig, states, controls) -> ClosedFormResult:
     Solves min_b sum_w ||alpha_w + G_w b - y_w||^2 per feature. Rank-deficient
     designs fall back to the minimum-norm solution and flag the feature.
     """
-    win = _windows(config, states, controls)
+    win = _windows(config, states, controls, "training")
     alpha, G, y = (np.concatenate(pieces) for pieces in zip(*_chunks(config, win, "training")))
     n_feat = y.shape[1]
     b = np.empty((n_feat, config.controls))
@@ -476,15 +500,11 @@ def predict(model: FlightKoobaModel, c_state: hippo.CoefficientState,
     feature, the control width and the coefficient state have been checked.
     """
     config = model.config
-    u_future = _as_2d(u_future, "u_future")
-    if u_future.shape[1] != config.controls:
-        raise InputError(f"u_future has {u_future.shape[1]} control columns, "
-                         f"config expects {config.controls}")
+    u_future = _control_matrix(config, u_future, "u_future")
     if isinstance(feature, bool) or not isinstance(feature, (int, np.integer)):
         raise InputError(f"feature must be an integer index, got {feature!r}")
     if not 0 <= feature < model.n_features:
         raise InputError(f"feature index {feature} out of range")
-    _require_finite(u_future, "u_future")
     c = np.asarray(c_state.c, dtype=float)
     if c.shape[-1:] != (config.order + 1,):
         raise InputError(f"coefficient state has shape {c.shape}; a model of order "
@@ -513,7 +533,7 @@ def evaluate(model: FlightKoobaModel, states, controls) -> dict:
     Raises NumericalError, naming the features, when an MSE is not finite.
     """
     config = model.config
-    win = _windows(config, states, controls)
+    win = _windows(config, states, controls, "evaluation")
     n_win, n_feat = win[0].shape[:2]
     if n_feat != model.n_features:
         raise InputError(f"model was trained on {model.n_features} features, got {n_feat}")
@@ -553,12 +573,6 @@ def save_model(model: FlightKoobaModel, path) -> None:
         fh.write("\n")
 
 
-def is_finite_number(v) -> bool:
-    """A finite JSON number: an int or float, not a bool, NaN, an infinity or
-    an integer beyond the float range; the rule for model files and reports."""
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
-
-
 def load_model(path) -> FlightKoobaModel:
     """Read a model document, checking the format version, removed options and field types."""
     with open(path, encoding="utf-8") as fh:
@@ -594,9 +608,7 @@ def load_model(path) -> FlightKoobaModel:
                           f"non-empty list of rows of {m} finite numbers")
     if not (isinstance(loss_history, list) and all(map(is_finite_number, loss_history))):
         raise ConfigError(f"model file {path}: loss_history must be a list of finite numbers")
-    if type(skipped) is not int or skipped < 0:
-        raise ConfigError(f"model file {path}: skipped_windows must be a non-negative "
-                          f"integer, got {skipped!r}")
+    check_integer(f"model file {path}: skipped_windows", skipped, 0)
     return FlightKoobaModel(config=config, b=np.array(b, dtype=float),
                             loss_history=[float(v) for v in loss_history],
                             skipped_windows=skipped)

@@ -21,7 +21,7 @@ def traced_peak(fn, *args):
 
 def whole_regression(config, states, controls):
     """alpha, G and y of every usable window, stacked, and the skipped count."""
-    win = _windows(config, states, controls)
+    win = _windows(config, states, controls, "training")
     alpha, G, y = (np.concatenate(pieces) for pieces in zip(*_chunks(config, win, "training")))
     return alpha, G, y, win[0].shape[0] - alpha.shape[0]
 

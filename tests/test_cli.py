@@ -282,13 +282,34 @@ def test_bad_input_exits_with_its_code_and_no_traceback(tmp_path, capsys, argv, 
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flags", [["--lr", "nan"], ["--seed", "-1"]],
-                         ids=["lr-nan", "seed-negative"])
-def test_invalid_model_flag_value_exits_2(tmp_path, synthetic_csv, flags):
+@pytest.mark.parametrize("flags, error", [
+    (["--lr", "nan"], "learning_rate must be a positive finite number, got nan"),
+    (["--seed", "-1"], "seed must be an integer from 0 to 9223372036854775807, got -1"),
+    # an integer flag takes an integer from its least value up to 2**63 - 1,
+    # and a window longer than the series is rejected before anything is
+    # sized by it
+    (["--seed", str(10**400)],
+     f"seed must be an integer from 0 to 9223372036854775807, got {10**400}"),
+    (["--batch-size", "9223372036854775808"],
+     "batch_size must be an integer from 1 to 9223372036854775807, got 9223372036854775808"),
+    (["--seq-len", "9223372036854775807"], "no usable training windows (0 skipped)"),
+    (["--horizon", "9223372036854775807"], "no usable training windows (0 skipped)"),
+], ids=["lr-nan", "seed-negative", "seed-10e400", "batch-size-2e63", "seq-len-max",
+        "horizon-max"])
+def test_invalid_model_flag_value_exits_2(tmp_path, synthetic_csv, capsys, flags, error):
     rc = cli.main(["train", "--dataset", f"csv:{synthetic_csv}", *flags,
                    "--out", str(tmp_path / "o")])
     assert rc == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {error}\n"
     assert not (tmp_path / "o").exists()
+
+
+def test_largest_seed_trains(tmp_path, synthetic_csv):
+    rc, out = _train(tmp_path, synthetic_csv, "out", ["--seed", "9223372036854775807"])
+    assert rc == cli.EXIT_OK
+    report = json.loads((out / "report.json").read_text())
+    assert report["seed"] == 2**63 - 1
+    assert cli.validate_report(report) == []
 
 
 def test_non_finite_csv_cell_exits_2(tmp_path, synthetic_csv, capsys):
@@ -380,7 +401,12 @@ def test_validate_report_catches_problems(tmp_path, synthetic_csv):
              ["mse.mean: expected number, got nan"]),
             ({**report, "loss_curve": [0.5, float("inf")]},
              ["loss_curve: expected list[number], got [0.5, inf]"]),
-            ({**report, "seed": 10**400}, [f"seed: expected int, got {10**400!r}"])]:
+            ({**report, "seed": 10**400}, [f"seed: expected int, got {10**400!r}"]),
+            # a document that is not an object is one problem, not an AttributeError
+            ([], ["report: expected an object, got []"]),
+            ("report", ["report: expected an object, got 'report'"]),
+            (None, ["report: expected an object, got None"]),
+            (3, ["report: expected an object, got 3"])]:
         assert cli.validate_report(doc) == problems
 
 

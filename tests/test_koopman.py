@@ -72,6 +72,21 @@ def test_order_limits():
             poly_ode_coeffs(empty)
 
 
+@pytest.mark.parametrize("order", [0, 33])
+def test_order_rule(order):
+    # check_order is the one statement of both bounds, for the config and
+    # for every function that is handed an order or a coefficient vector
+    text = (f"order must be an integer from 1 to 32, got {order} (order 0 has no lifted state, "
+            f"and beyond 32 the factorial rescaling is not exact in double precision)")
+    a = np.ones(order + 1)
+    for call in (lambda: ModelConfig(order=order), lambda: build_companion(a),
+                 lambda: companion_discrete(a, 0.25), lambda: lift_initial_state(order),
+                 lambda: poly_ode_coeffs(a)):
+        with pytest.raises(ConfigError) as info:
+            call()
+        assert str(info.value) == text
+
+
 def test_require_defined_names_the_failure():
     a = np.array([1.0, 1.0])
     require_defined(a, True, 0.1)

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import logging
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -46,16 +47,20 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         ModelConfig(horizon=0)
     for name in ("epochs", "batch_size"):
-        with pytest.raises(ConfigError, match=r"epochs and batch_size must be positive"):
+        with pytest.raises(ConfigError, match=f"^{name} must be an integer from 1 to "
+                                              f"9223372036854775807, got 0$"):
             ModelConfig(**{name: 0})
     with pytest.raises(ConfigError):
         ModelConfig(learning_rate=0.0)
-    for value in (True, "0.1", None):
-        with pytest.raises(ConfigError, match=f"learning_rate must be a number, got {value!r}"):
+    # 10**400 passed the old rule and then overflowed inside fit
+    for value in (True, "0.1", None, -1e-3, float("nan"), float("inf"), 10**400):
+        with pytest.raises(ConfigError, match=re.escape(
+                f"learning_rate must be a positive finite number, got {value!r}") + "$"):
             ModelConfig(learning_rate=value)
     with pytest.raises(ConfigError):
         ModelConfig(stride=0)
-    with pytest.raises(ConfigError, match="seed must be non-negative, got -1"):
+    with pytest.raises(ConfigError,
+                       match="^seed must be an integer from 0 to 9223372036854775807, got -1$"):
         ModelConfig(seed=-1)
 
 
@@ -65,6 +70,39 @@ def test_config_validation():
 def test_config_integer_fields_reject_other_types(name, value):
     with pytest.raises(ConfigError, match=f"{name} must be an integer"):
         ModelConfig(**{name: value})
+
+
+ORDER_RULE = ("order must be an integer from 1 to 32, got {!r} (order 0 has no lifted state, "
+              "and beyond 32 the factorial rescaling is not exact in double precision)")
+LEAST = {"controls": 1, "seq_len": 1, "horizon": 1, "epochs": 1, "batch_size": 1,
+         "stride": 1, "seed": 0}
+
+
+@pytest.mark.parametrize("entry, name, value", [
+    *[("config", name, value) for name in ("order", *LEAST)
+      for value in (True, 8.0, LEAST.get(name, 1) - 1, 2**63)],
+    ("model-file", "skipped_windows", 2**63),
+    ("report", "seed", 2**63)])
+def test_integer_rule(entry, name, value, tmp_path):
+    # one rule, model.check_integer over model.is_integer, for config fields,
+    # model files and reports; order's bounds are koopman.check_order's
+    text = (f"{name} must be an integer from {LEAST.get(name, 0)} to 9223372036854775807, "
+            f"got {value!r}")
+    if entry == "config":
+        with pytest.raises(ConfigError) as info:
+            ModelConfig(**{name: value})
+        assert str(info.value) == (ORDER_RULE.format(value) if name == "order" else text)
+    elif entry == "model-file":
+        path = tmp_path / "model.json"
+        save_model(FlightKoobaModel(config=ModelConfig(), b=np.zeros((1, 1))), path)
+        doc = json.loads(path.read_text())
+        path.write_text(json.dumps({**doc, name: value}))
+        with pytest.raises(ConfigError) as info:
+            load_model(path)
+        assert str(info.value) == f"model file {path}: {text}"
+    else:
+        report = {**cli._report("bench", ModelConfig(), rows=[]), name: value}
+        assert cli.validate_report(report) == [f"{name}: expected int, got {value!r}"]
 
 
 def test_gradient_matches_central_differences():
@@ -201,7 +239,7 @@ def _gate_rows(case):
         return states, controls, "states column 1 holds the non-finite value nan at row 2000"
     if case == "wrong-control-width":
         return (states, np.column_stack([controls, controls]),
-                "control matrix has 2 columns, config expects 1")
+                "controls has 2 columns, config expects 1")
     if case == "no-state-column":
         return states[:, :0], controls, "state matrix has no feature columns"
     return states[:5], controls[:5], "no usable {split} windows (0 skipped)"
@@ -226,6 +264,51 @@ def test_every_entry_point_rejects_what_the_gate_rejects(case, caplog):
         assert str(info.value) == message.format(split=split), call.__name__
         assert caplog.text.count("too short") == (case == "five-rows"), call.__name__
         assert not tracemalloc.is_tracing()
+
+
+@pytest.mark.parametrize("case, text", [
+    ("two-columns", "{name} has 2 columns, config expects 1"),
+    ("three-axes", "{name} must be a (time, features) matrix, got shape (3000, 1, 1)"),
+    ("inf-at-row-7", "{name} column 0 holds the non-finite value inf at row 7")],
+    ids=["two-columns", "three-axes", "inf-at-row-7"])
+def test_control_rule(case, text):
+    # one check (_control_matrix) for the gate's controls and predict's u_future
+    t = np.arange(3000.0)
+    states, controls = np.column_stack([np.sin(t / 9), np.cos(t / 13)]), np.sin(t / 7)[:, None]
+    if case == "two-columns":
+        controls = np.column_stack([controls, controls])
+    elif case == "three-axes":
+        controls = controls[..., None]
+    else:
+        controls[7, 0] = np.inf
+    config = ModelConfig()
+    model = FlightKoobaModel(config=config, b=np.zeros((2, 1)))
+    for call, first in ((fit, config), (normal_equations, config), (evaluate, model),
+                        (closed_form_b, config), (table_build_peak, config)):
+        with pytest.raises(InputError) as info:
+            call(first, states, controls)
+        assert str(info.value) == text.format(name="controls"), call.__name__
+    with pytest.raises(InputError) as info:
+        predict(model, init_state(config.order), controls)
+    assert str(info.value) == text.format(name="u_future")
+
+
+@pytest.mark.parametrize("seq_len", [2**62, 50_000])
+def test_no_window_fails_before_anything_is_sized(seq_len, lorenz_train, caplog):
+    # the gate raises before the kernel or an empty window array is shaped by
+    # seq_len; 2**62 used to end in numpy's "array is too big"
+    states, controls = lorenz_train
+    tracemalloc.start()
+    try:
+        with caplog.at_level(logging.WARNING):
+            with pytest.raises(InputError) as info:
+                fit(ModelConfig(seq_len=seq_len), states, controls)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == "no usable training windows (0 skipped)"
+    assert caplog.text.count("too short") == 1
+    assert peak < 100_000
 
 
 def test_predict_is_affine_in_weights(realizable_fixture):
@@ -288,7 +371,7 @@ def test_predict_edge_cases():
     empty = np.empty((0, 1))
     with pytest.raises(InputError, match="feature index 7 out of range"):
         predict(model, CoefficientState(c=[np.nan] * 4), empty, feature=7)
-    with pytest.raises(InputError, match="3 control columns"):
+    with pytest.raises(InputError, match="^u_future has 3 columns, config expects 1$"):
         predict(model, CoefficientState(c=np.ones(9)), np.empty((0, 3)), feature=True)
     with pytest.raises(InputError, match="feature must be an integer index"):
         predict(model, state, empty, feature=True)
