@@ -294,18 +294,41 @@ def rollout(a: np.ndarray, u_future: np.ndarray,
     Toeplitz matrix is a strided view of k behind h - 1 zeros: entry (i, j)
     sits i - j places after k_0, so rows step forward and columns step back.
     The third result marks the systems that are defined (companion_discrete).
+
+    One system (a of shape (n+1,)) keeps every step's carry and reads them
+    out in one product. A stack keeps one carry: it steps two buffers in
+    place and records each step's first entry and a_1.. . carry as it goes,
+    so what it holds does not grow with h times n (rollout_bytes). Both run
+    the same products on each system, so a system's numbers are the same
+    bits alone and in a stack.
     """
     h = u_future.shape[-2]
     abar, w, ok = companion_discrete(a, dt)
-    carry = np.empty(w.shape[:-1] + (h + 1,) + w.shape[-1:] + (2,))   # (..., h+1, n, 2)
-    carry[..., 0, :, 0] = _ode_scale(a.shape[-1] - 1)[1][:0:-1]      # lift_initial_state's x
-    carry[..., 0, :, 1] = w
-    for t in range(h):
-        carry[..., t + 1, :, :] = abar @ carry[..., t, :, :]
-    del abar
-    first = carry[..., 0, :]                                 # (..., h+1, 2)
-    dot = (a[..., None, None, 1:] @ carry)[..., 0, :]        # a_1.. . carry
-    a0 = a[..., :1]
+    lift = _ode_scale(a.shape[-1] - 1)[1][:0:-1]            # lift_initial_state's x
+    a0, a1 = a[..., :1], a[..., None, 1:]
+    if a.ndim == 1:
+        carry = np.empty((h + 1,) + w.shape + (2,))         # (h+1, n, 2)
+        carry[0, :, 0] = lift
+        carry[0, :, 1] = w
+        for t in range(h):
+            carry[t + 1] = abar @ carry[t]
+        first = carry[:, 0, :]                              # (h+1, 2)
+        dot = (a1[None] @ carry)[:, 0, :]                   # a_1.. . carry
+    else:
+        cur = np.empty(w.shape + (2,))                      # (..., n, 2)
+        cur[..., 0] = lift
+        cur[..., 1] = w
+        nxt = np.empty_like(cur)
+        first = np.empty(w.shape[:-1] + (h + 1, 2))
+        dot = np.empty_like(first)
+        for t in range(h + 1):
+            first[..., t, :] = cur[..., 0, :]
+            dot[..., t, :] = (a1 @ cur)[..., 0, :]
+            if t < h:
+                np.matmul(abar, cur, out=nxt)
+                cur, nxt = nxt, cur
+        del cur, nxt
+    del abar, w
     alpha = a0 * first[..., :h, 0] + dot[..., 1:, 0]
     padded = np.zeros(dot.shape[:-2] + (2 * h - 1,))
     k = padded[..., h - 1:]
@@ -318,9 +341,19 @@ def rollout(a: np.ndarray, u_future: np.ndarray,
 
 
 def rollout_bytes(n: int, h: int) -> int:
-    """Bytes rollout holds at once per system of order n over h steps, then frees.
+    """Bytes rollout holds at once per system of a stack, order n over h steps, then frees.
 
-    In float64: Abar (n^2), the carry (2n (h+1)), one step's product (2n),
-    w (n) and the ODE coefficients a (n+1).
+    In float64, beside the ODE coefficients a (n + 1) and the step records
+    (the carry's first entries and a_1.. . carry, 4 (h + 1)), the larger of
+    two phases:
+
+    - the steps: Abar (n^2), w (n), the two carry buffers (4n) and one step's
+      readout product (2);
+    - the Toeplitz response: alpha (h), the padded impulse response
+      (2h - 1), and for its last sum the product a_0 . first (h - 1) with the
+      iteration buffers numpy fills for it (2 (h - 1); numpy caps each at
+      8192 elements per call).
+
+    companion_discrete's own temporaries stay below the steps' phase.
     """
-    return 8 * (n * n + 2 * n * (h + 3) + 1)
+    return 8 * (n + 1 + 4 * (h + 1) + max(n * n + 5 * n + 2, 6 * h - 4))

@@ -393,12 +393,36 @@ def test_bilinear_rollout_converges_to_the_exponential(method, lorenz_table):
         assert np.all((ratios > 3.9) & (ratios < 4.1)), (order, ratios)
 
 
-@pytest.mark.parametrize("horizon", [1, 8])
+@pytest.mark.parametrize("horizon", [1, 2, 8, 16])
 def test_rollout_bytes_matches_the_traced_peak_of_a_chunk(horizon):
     # model._epochs_per_block budgets a block of epochs by the bytes a chunk's
-    # rollout held: one full chunk of 64 windows x 2 features at order 6
+    # rollout held: one full chunk of 64 windows x 2 features. At low orders
+    # and long horizons the Toeplitz response, not the steps, sets the peak
     rng = np.random.default_rng(0)
-    a = rng.normal(size=(64, 2, 7))
     u_future = rng.normal(size=(64, 1, horizon, 1))
-    peak = traced_peak(rollout, a, u_future, 0.25)
-    assert peak == pytest.approx(64 * 2 * rollout_bytes(6, horizon), rel=0.1)
+    for order in (3, 6, 12):
+        a = rng.normal(size=(64, 2, order + 1))
+        peak = traced_peak(rollout, a, u_future, 0.25)
+        assert peak == pytest.approx(64 * 2 * rollout_bytes(order, horizon), rel=0.1), order
+
+
+@pytest.mark.parametrize("horizon", [1, 2, 8, 16])
+def test_rollout_of_one_system_is_its_row_of_a_stack(horizon, lorenz_table):
+    # rollout keeps every step's carry for one system (predict) and one carry
+    # for a stack (the training chunks): both must give the same bits, also
+    # for undefined systems and for a stack of one
+    dt = ModelConfig().eff_dt_basis
+    rng = np.random.default_rng(horizon)
+    for method, order in [(("legs", "legt")[order % 2], order) for order in range(1, 14)]:
+        a = _lorenz_coeffs(lorenz_table, method, order)[:6].copy()
+        a[2, 1, -1] = 0.0                   # a vanishing leading coefficient
+        u = rng.normal(size=(6, 1, horizon, 2))
+        alpha, G, ok = rollout(a, u, dt)
+        assert not ok[2, 1]
+        for i in np.ndindex(ok.shape):
+            one = rollout(a[i], u[i[0], 0], dt)
+            stacked = rollout(a[i][None], u[i[0], 0], dt)
+            for got in (one, tuple(part[0] for part in stacked)):
+                np.testing.assert_array_equal(got[0], alpha[i])
+                np.testing.assert_array_equal(got[1], G[i])
+                assert got[2] == ok[i]

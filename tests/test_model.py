@@ -10,7 +10,7 @@ import pytest
 
 from scipy.linalg import lu_factor
 
-from kooba import (ConfigError, DegenerateCoefficientsError, InputError,
+from kooba import (ConfigError, DegenerateCoefficientsError, InputError, LorenzParams,
                    ModelConfig, NumericalError, TrainingAbortedError, cli,
                    closed_form_b, evaluate, fit, gen_lorenz, init_state, koopman,
                    load_model, normalize, predict, save_model, split_controls,
@@ -664,13 +664,31 @@ def test_fit_matches_per_window_descent(batch_size, epochs, descent_series):
                                  learning_rate=0.05, seed=5)
     assert alpha.shape[0] == 73
     if batch_size == 2:
-        block = _epochs_per_block(config, 73, 2)
+        block = _epochs_per_block(config, 73, 2)[0]
         assert -(-epochs // block) >= 3 and epochs % block
     b_ref, loss_ref = _reference_sgd(config, alpha, G, y)
     model = fit(config, states, ctrl)
     assert _rel(model.b, b_ref) < 1e-12
     assert _rel(np.array(model.loss_history), loss_ref) < 1e-12
     assert model.b.shape == (2, config.controls)
+
+
+@pytest.mark.parametrize("row_bytes", [0, 30])
+def test_an_epoch_gathered_in_slices_gives_the_same_bits(row_bytes, descent_series, monkeypatch):
+    # a training budget below one epoch's gather cuts each epoch's gather
+    # into slices of whole batches (one batch each at a budget of 0, and a
+    # partial last slice at 30 bytes a row); the permutation and every
+    # batch's segment are those of one gather, so b and the loss history
+    # keep every bit
+    base, states, ctrl, _ = descent_series
+    config = dataclasses.replace(base, epochs=6, batch_size=7, learning_rate=0.05, seed=5)
+    whole = fit(config, states, ctrl)
+    monkeypatch.setattr(koopman, "rollout_bytes", lambda n, h: row_bytes)
+    per = _epochs_per_block(config, 73, 2)[1]
+    assert per < 11
+    sliced = fit(config, states, ctrl)
+    np.testing.assert_array_equal(sliced.b, whole.b)
+    assert sliced.loss_history == whole.loss_history
 
 
 def test_fit_loss_curve_meets_the_rounding_floor(realizable_fixture):
@@ -720,23 +738,36 @@ def test_fewer_epochs_give_a_prefix_of_the_loss_history(lorenz_train):
     states, controls = lorenz_train
     config = ModelConfig()
     block = _epochs_per_block(config, normal_equations(config, states, controls).table.shape[0],
-                              states.shape[1])
+                              states.shape[1])[0]
     assert 7 <= block < 22 and 23 % block
     full = fit(config, states, controls).loss_history
     for k in (1, 2, block, block + 1, 23):
         assert fit(dataclasses.replace(config, epochs=k), states, controls).loss_history == full[:k]
 
 
-@pytest.mark.parametrize("controls", [1, 2])
-def test_fit_allocates_no_more_than_the_table_build(controls, lorenz_ds):
+@pytest.mark.parametrize("controls, configs, steps, bound", [
+    (1, [{"horizon": 1}, {"horizon": 8}], None, 1.01),
+    (2, [{"horizon": 1}, {"horizon": 8}], None, 1.01),
+    (1, [{"order": 2}], None, 1.01),
+    (1, [{"order": 3}], None, 1.01),
+    (1, [{"order": 4}], None, 1.01),
+    (1, [{}], 60_000, 1.01),
+    (1, [{"horizon": 4, "stride": 1}], None, 1.05),
+], ids=["1", "2", "order-2", "order-3", "order-4", "steps-60000", "h4-stride1"])
+def test_fit_allocates_no_more_than_the_table_build(controls, configs, steps, bound, lorenz_ds):
     # the epochs must not set fit's high-water mark: a block of them takes at
-    # most the bytes of the chunk temporaries that the table build frees
-    states, ctrl = split_controls(lorenz_ds, controls)
-    states, ctrl = states[:lorenz_ds.split_index], ctrl[:lorenz_ds.split_index]
-    for horizon in (1, 8):
-        config = ModelConfig(controls=controls, horizon=horizon)
+    # most the bytes of the chunk temporaries that the table build frees.
+    # Where one epoch's gather outgrows them (low orders, long series, many
+    # windows), the gather is cut into slices of whole batches. At horizon 4,
+    # stride 1 the seeded permutation of 10,489 windows alone nearly fills them
+    ds = lorenz_ds if steps is None else normalize(["x", "y", "z"],
+                                                   gen_lorenz(LorenzParams(steps=steps)))
+    states, ctrl = split_controls(ds, controls)
+    states, ctrl = states[:ds.split_index], ctrl[:ds.split_index]
+    for fields in configs:
+        config = ModelConfig(controls=controls, **fields)
         build = traced_peak(normal_equations, config, states, ctrl)
-        assert traced_peak(fit, config, states, ctrl) <= 1.01 * build, horizon
+        assert traced_peak(fit, config, states, ctrl) <= bound * build, fields
 
 
 def test_fit_never_holds_the_whole_regression(lorenz_train):
@@ -979,7 +1010,7 @@ def test_fit_aborts_where_a_sequential_loop_does(config, later, lorenz_train):
     assert expected is not None
     if later:
         epoch = int(expected.split(",")[0].rsplit(" ", 1)[1])
-        assert epoch >= _epochs_per_block(config, *alpha.shape[:2])
+        assert epoch >= _epochs_per_block(config, *alpha.shape[:2])[0]
     with pytest.raises(TrainingAbortedError) as info:
         fit(config, states, controls)
     assert str(info.value) == expected
