@@ -295,65 +295,53 @@ def rollout(a: np.ndarray, u_future: np.ndarray,
     sits i - j places after k_0, so rows step forward and columns step back.
     The third result marks the systems that are defined (companion_discrete).
 
-    One system (a of shape (n+1,)) keeps every step's carry and reads them
-    out in one product. A stack keeps one carry: it steps two buffers in
-    place and records each step's first entry and a_1.. . carry as it goes,
-    so what it holds does not grow with h times n (rollout_bytes). Both run
-    the same products on each system, so a system's numbers are the same
-    bits alone and in a stack.
+    One carry is held: two buffers step in place, and each step records the
+    carry's first entries and a_1.. . carry, step axis first, so what rollout
+    holds does not grow with h times n (rollout_bytes) and the sums after the
+    loop read whole steps. Each system runs the same products alone and in a
+    stack, so its numbers are the same bits either way.
     """
     h = u_future.shape[-2]
     abar, w, ok = companion_discrete(a, dt)
-    lift = _ode_scale(a.shape[-1] - 1)[1][:0:-1]            # lift_initial_state's x
-    a0, a1 = a[..., :1], a[..., None, 1:]
-    if a.ndim == 1:
-        carry = np.empty((h + 1,) + w.shape + (2,))         # (h+1, n, 2)
-        carry[0, :, 0] = lift
-        carry[0, :, 1] = w
-        for t in range(h):
-            carry[t + 1] = abar @ carry[t]
-        first = carry[:, 0, :]                              # (h+1, 2)
-        dot = (a1[None] @ carry)[:, 0, :]                   # a_1.. . carry
-    else:
-        cur = np.empty(w.shape + (2,))                      # (..., n, 2)
-        cur[..., 0] = lift
-        cur[..., 1] = w
-        nxt = np.empty_like(cur)
-        first = np.empty(w.shape[:-1] + (h + 1, 2))
-        dot = np.empty_like(first)
-        for t in range(h + 1):
-            first[..., t, :] = cur[..., 0, :]
-            dot[..., t, :] = (a1 @ cur)[..., 0, :]
-            if t < h:
-                np.matmul(abar, cur, out=nxt)
-                cur, nxt = nxt, cur
-        del cur, nxt
-    del abar, w
-    alpha = a0 * first[..., :h, 0] + dot[..., 1:, 0]
-    padded = np.zeros(dot.shape[:-2] + (2 * h - 1,))
-    k = padded[..., h - 1:]
-    k[...] = dot[..., :h, 1]
-    k[..., 1:] += a0 * first[..., :h - 1, 1]
-    s = padded.itemsize
-    toeplitz = np.ndarray(padded.shape[:-1] + (h, h), padded.dtype, padded, (h - 1) * s,
-                          padded.strides[:-1] + (s, -s))
+    cur = np.empty(w.shape + (2,))                          # (..., n, 2)
+    cur[..., 0] = _ode_scale(a.shape[-1] - 1)[1][:0:-1]     # lift_initial_state's x
+    cur[..., 1] = w
+    nxt = np.empty_like(cur)
+    first = np.empty((h + 1,) + ok.shape + (2,))            # carry[..., 0, :]
+    dot = np.empty((h + 1,) + ok.shape + (1, 2))            # a_1.. . carry
+    a1 = a[..., None, 1:]
+    for t in range(h + 1):
+        first[t] = cur[..., 0, :]
+        np.matmul(a1, cur, out=dot[t])
+        if t < h:
+            np.matmul(abar, cur, out=nxt)
+            cur, nxt = nxt, cur
+    del abar, w, cur, nxt
+    # a_0 first_t + a_1.. . carry_{t+1}: alpha_t in column 0, k_{t+1} in column 1
+    step = first[:h]
+    step *= a[..., :1]
+    step += dot[1:, ..., 0, :]
+    alpha = step[..., 0].transpose(*range(1, ok.ndim + 1), 0).copy()   # (..., h)
+    padded = np.zeros((2 * h - 1,) + ok.shape)              # k behind h - 1 zeros, step axis first
+    padded[h - 1] = dot[0, ..., 0, 1]
+    padded[h:] = step[:h - 1, ..., 1]
+    s = padded.strides[0]
+    toeplitz = np.ndarray(ok.shape + (h, h), padded.dtype, padded, (h - 1) * s,
+                          padded.strides[1:] + (s, -s))
     return alpha, toeplitz @ u_future, ok
 
 
-def rollout_bytes(n: int, h: int) -> int:
-    """Bytes rollout holds at once per system of a stack, order n over h steps, then frees.
+def rollout_bytes(n: int, h: int, m: int) -> int:
+    """Bytes rollout holds at once per system of order n over h steps and m controls, then frees.
 
-    In float64, beside the ODE coefficients a (n + 1) and the step records
-    (the carry's first entries and a_1.. . carry, 4 (h + 1)), the larger of
-    two phases:
+    In float64, beside the step records (first entries and a_1.. . carry,
+    4 (h + 1)), the larger of two phases:
 
-    - the steps: Abar (n^2), w (n), the two carry buffers (4n) and one step's
-      readout product (2);
-    - the Toeplitz response: alpha (h), the padded impulse response
-      (2h - 1), and for its last sum the product a_0 . first (h - 1) with the
-      iteration buffers numpy fills for it (2 (h - 1); numpy caps each at
-      8192 elements per call).
+    - the steps: Abar (n^2), w (n) and the two carry buffers (4n);
+    - the Toeplitz response: alpha (h), the padded impulse response (2h - 1)
+      and G (h m).
 
-    companion_discrete's own temporaries stay below the steps' phase.
+    The coefficients a are the caller's, and companion_discrete's own
+    temporaries stay below the steps' phase.
     """
-    return 8 * (n + 1 + 4 * (h + 1) + max(n * n + 5 * n + 2, 6 * h - 4))
+    return 8 * (4 * (h + 1) + max(n * n + 5 * n, 3 * h - 1 + h * m))

@@ -271,35 +271,37 @@ def window_loss_grad(alpha: np.ndarray, G: np.ndarray, y: np.ndarray,
     return loss, grad.reshape((-1,) + b.shape).mean(axis=0)
 
 
-def _epochs_per_block(config: ModelConfig, n_win: int, n_feat: int) -> tuple[int, int]:
-    """Epochs fit descends per array pass, and the whole batches each gather holds.
+def _epochs_per_block(config: ModelConfig, n_win: int, n_feat: int) -> tuple[int, int, type]:
+    """Epochs fit descends per array pass, batches per gather, and the permutation's index type.
 
-    Both are as many as fit in the bytes koopman.rollout held for one
+    Both counts are as many as fit in the bytes koopman.rollout held for one
     chunk's window x feature rows (koopman.rollout_bytes), which the table
     build freed before training, and at least one. Per epoch and batch, a
     block holds its row of sums and the b the batch saw. Beside them it
     holds one epoch's permutation (an index per window) and one gather (a
     table row per gathered window) while it sums, and later the scan's A
     with one A-sized temporary and d with two d-sized temporaries. Either
-    phase fits. A gather is the epoch's whole table where that fits beside
-    one epoch's sums; else the block is sized beside one batch's gather, and
-    what it leaves goes to gathers of whole batches.
+    phase fits. The block's sums take at most half of what the permutation
+    leaves, so that neither many blocks nor many slices per epoch eat the
+    time, and the gathers take the rest: an epoch is one gather where its
+    whole table fits there. The indices are int64, which numpy shuffles
+    fastest, where that permutation leaves room for one batch's gather and
+    one epoch's sums; else int32, half the bytes.
     """
     m = config.controls
     n_gram, n_cross = n_feat * m * m, n_feat * m
     n_cols = _table_columns(config, n_feat)
     n_batch = -(-n_win // config.batch_size)
     rows = min(_chunk_windows(n_feat), n_win) * n_feat
-    budget = rows * koopman.rollout_bytes(config.order, config.horizon)
+    budget = rows * koopman.rollout_bytes(config.order, config.horizon, m)
     held = 8 * n_batch * (n_cols + n_cross + 1)
     scan = 8 * n_batch * (2 * n_gram + 3 * n_cross)
-    perm = 8 * n_win
-    whole = budget - perm - 8 * n_win * n_cols >= held
-    gather = perm + 8 * n_cols * (n_win if whole else min(n_win, config.batch_size))
-    block = min(config.epochs, max(1, min((budget - gather) // held, budget // (held + scan))))
-    if whole:
-        return block, n_batch
-    return block, max(1, (budget - perm - block * held) // (8 * n_cols * config.batch_size))
+    batch = 8 * n_cols * min(n_win, config.batch_size)
+    index = np.int64 if budget - 8 * n_win - batch >= held else np.int32
+    perm = np.dtype(index).itemsize * n_win
+    block = min(config.epochs,
+                max(1, min((budget - perm) // 2 // held, budget // (held + scan))))
+    return block, min(n_batch, max(1, (budget - perm - block * held) // batch)), index
 
 
 def _descend(config: ModelConfig, table: np.ndarray) -> tuple[np.ndarray, list[float]]:
@@ -308,7 +310,8 @@ def _descend(config: ModelConfig, table: np.ndarray) -> tuple[np.ndarray, list[f
     Returns b as (F, m) and the loss history. A block of epochs and each
     gather hold what _epochs_per_block counts. An epoch gathers its permuted
     table rows and sums them per batch one slice of whole batches at a time,
-    so the segments summed are those of one whole gather.
+    so the segments summed are those of one whole gather, and its
+    permutation is the same in either index type.
     """
     n_win, h, m = table.shape[0], config.horizon, config.controls
     n_feat = (table.shape[1] - 1) // (m * m + m)
@@ -319,7 +322,7 @@ def _descend(config: ModelConfig, table: np.ndarray) -> tuple[np.ndarray, list[f
     n_batch = starts.size
     step = (2.0 * config.learning_rate / (np.diff(starts, append=n_win) * h)).reshape(-1, 1, 1, 1)
     eye = np.eye(m)
-    block, per = _epochs_per_block(config, n_win, n_feat)
+    block, per, index = _epochs_per_block(config, n_win, n_feat)
     span = per * config.batch_size
     sums = np.empty((block, n_batch, table.shape[1]))
     seen = np.empty((block, n_batch, n_feat, 1, m))
@@ -329,7 +332,10 @@ def _descend(config: ModelConfig, table: np.ndarray) -> tuple[np.ndarray, list[f
     for first in range(0, config.epochs, block):
         n_ep = min(block, config.epochs - first)
         for e in range(n_ep):
-            perm = rng.permutation(n_win)
+            # rng.permutation(n_win)'s order, shuffled in place in either index
+            # type (a table of 2^31 windows would not fit in memory)
+            perm = np.arange(n_win, dtype=index)
+            rng.shuffle(perm)
             # every batch but the last holds batch_size rows, so a slice's
             # segments start where the epoch's first ones do
             for j in range(0, n_batch, per):
@@ -462,9 +468,9 @@ def fit(config: ModelConfig, states, controls) -> FlightKoobaModel:
     epoch composing only its own maps, and b passes from one epoch to the next
     by the same b A_K + d_K its last batch gives; so the numbers are those of
     one epoch at a time. A block holds as many epochs as fit in the bytes a
-    chunk of the table build freed, and at least one; where an epoch's whole
-    gather does not fit there, it gathers and sums in slices of whole batches
-    (_epochs_per_block), with the same bits.
+    chunk of the table build freed, and at least one; each epoch gathers and
+    sums in slices of whole batches sized to what the block leaves there, one
+    slice where its whole table fits (_epochs_per_block), with the same bits.
     Near zero residual the loss curve is exact only to the rounding of those
     sums and products, about 1e-16 of the first epoch's loss. Rows with no
     usable window raise InputError, as in evaluate and closed_form_b.

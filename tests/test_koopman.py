@@ -399,18 +399,20 @@ def test_rollout_bytes_matches_the_traced_peak_of_a_chunk(horizon):
     # rollout held: one full chunk of 64 windows x 2 features. At low orders
     # and long horizons the Toeplitz response, not the steps, sets the peak
     rng = np.random.default_rng(0)
-    u_future = rng.normal(size=(64, 1, horizon, 1))
-    for order in (3, 6, 12):
-        a = rng.normal(size=(64, 2, order + 1))
-        peak = traced_peak(rollout, a, u_future, 0.25)
-        assert peak == pytest.approx(64 * 2 * rollout_bytes(order, horizon), rel=0.1), order
+    for controls in (1, 2):
+        u_future = rng.normal(size=(64, 1, horizon, controls))
+        for order in (3, 6, 12):
+            a = rng.normal(size=(64, 2, order + 1))
+            peak = traced_peak(rollout, a, u_future, 0.25)
+            assert peak == pytest.approx(64 * 2 * rollout_bytes(order, horizon, controls),
+                                         rel=0.1), (controls, order)
 
 
 @pytest.mark.parametrize("horizon", [1, 2, 8, 16])
 def test_rollout_of_one_system_is_its_row_of_a_stack(horizon, lorenz_table):
-    # rollout keeps every step's carry for one system (predict) and one carry
-    # for a stack (the training chunks): both must give the same bits, also
-    # for undefined systems and for a stack of one
+    # predict rolls out one system and the training chunks a stack: each
+    # system must get the same bits either way, also an undefined one and a
+    # stack of one
     dt = ModelConfig().eff_dt_basis
     rng = np.random.default_rng(horizon)
     for method, order in [(("legs", "legt")[order % 2], order) for order in range(1, 14)]:

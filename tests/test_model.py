@@ -651,13 +651,13 @@ def descent_series(request):
     return config, states, ctrl, _reference_pieces(config, states, ctrl)
 
 
-@pytest.mark.parametrize("batch_size, epochs", [(7, 6), (100, 6), (1, 6), (2, 21)],
+@pytest.mark.parametrize("batch_size, epochs", [(7, 6), (100, 6), (1, 6), (2, 22)],
                          ids=["ragged", "one-batch", "one-window", "blocks"])
 def test_fit_matches_per_window_descent(batch_size, epochs, descent_series):
     # 73 windows: batches of 7 leave a last batch of 3, 100 makes one batch
     # (a scan with no levels), 1 makes 73 batches (seven levels); with two
     # controls the composed maps are 2x2 matrices, whose order matters.
-    # Batches of 2 (a last batch of 1) over 21 epochs run as three or more
+    # Batches of 2 (a last batch of 1) over 22 epochs run as three or more
     # blocks of epochs, the last one partial.
     base, states, ctrl, (alpha, G, y) = descent_series
     config = dataclasses.replace(base, epochs=epochs, batch_size=batch_size,
@@ -673,19 +673,21 @@ def test_fit_matches_per_window_descent(batch_size, epochs, descent_series):
     assert model.b.shape == (2, config.controls)
 
 
-@pytest.mark.parametrize("row_bytes", [0, 30])
-def test_an_epoch_gathered_in_slices_gives_the_same_bits(row_bytes, descent_series, monkeypatch):
+@pytest.mark.parametrize("row_bytes, index", [(0, np.int32), (30, np.int64)])
+def test_an_epoch_gathered_in_slices_gives_the_same_bits(row_bytes, index, descent_series,
+                                                         monkeypatch):
     # a training budget below one epoch's gather cuts each epoch's gather
-    # into slices of whole batches (one batch each at a budget of 0, and a
-    # partial last slice at 30 bytes a row); the permutation and every
-    # batch's segment are those of one gather, so b and the loss history
-    # keep every bit
+    # into slices of whole batches: one batch each, of int32 indices, at a
+    # budget of 0, and a partial last slice at 30 bytes a row. The
+    # permutation and every batch's segment are those of one int64 gather,
+    # so b and the loss history keep every bit
     base, states, ctrl, _ = descent_series
     config = dataclasses.replace(base, epochs=6, batch_size=7, learning_rate=0.05, seed=5)
+    assert _epochs_per_block(config, 73, 2)[1:] == (11, np.int64)
     whole = fit(config, states, ctrl)
-    monkeypatch.setattr(koopman, "rollout_bytes", lambda n, h: row_bytes)
-    per = _epochs_per_block(config, 73, 2)[1]
-    assert per < 11
+    monkeypatch.setattr(koopman, "rollout_bytes", lambda n, h, m: row_bytes)
+    _, per, drawn = _epochs_per_block(config, 73, 2)
+    assert per < 11 and drawn is index
     sliced = fit(config, states, ctrl)
     np.testing.assert_array_equal(sliced.b, whole.b)
     assert sliced.loss_history == whole.loss_history
@@ -745,21 +747,21 @@ def test_fewer_epochs_give_a_prefix_of_the_loss_history(lorenz_train):
         assert fit(dataclasses.replace(config, epochs=k), states, controls).loss_history == full[:k]
 
 
-@pytest.mark.parametrize("controls, configs, steps, bound", [
-    (1, [{"horizon": 1}, {"horizon": 8}], None, 1.01),
-    (2, [{"horizon": 1}, {"horizon": 8}], None, 1.01),
-    (1, [{"order": 2}], None, 1.01),
-    (1, [{"order": 3}], None, 1.01),
-    (1, [{"order": 4}], None, 1.01),
-    (1, [{}], 60_000, 1.01),
-    (1, [{"horizon": 4, "stride": 1}], None, 1.05),
+@pytest.mark.parametrize("controls, configs, steps", [
+    (1, [{"horizon": 1}, {"horizon": 8}], None),
+    (2, [{"horizon": 1}, {"horizon": 8}], None),
+    (1, [{"order": 2}], None),
+    (1, [{"order": 3}], None),
+    (1, [{"order": 4}], None),
+    (1, [{}], 60_000),
+    (1, [{"horizon": 4, "stride": 1}], None),
 ], ids=["1", "2", "order-2", "order-3", "order-4", "steps-60000", "h4-stride1"])
-def test_fit_allocates_no_more_than_the_table_build(controls, configs, steps, bound, lorenz_ds):
+def test_fit_allocates_no_more_than_the_table_build(controls, configs, steps, lorenz_ds):
     # the epochs must not set fit's high-water mark: a block of them takes at
     # most the bytes of the chunk temporaries that the table build frees.
     # Where one epoch's gather outgrows them (low orders, long series, many
     # windows), the gather is cut into slices of whole batches. At horizon 4,
-    # stride 1 the seeded permutation of 10,489 windows alone nearly fills them
+    # stride 1 an int64 permutation of the 10,489 windows would fill them
     ds = lorenz_ds if steps is None else normalize(["x", "y", "z"],
                                                    gen_lorenz(LorenzParams(steps=steps)))
     states, ctrl = split_controls(ds, controls)
@@ -767,7 +769,7 @@ def test_fit_allocates_no_more_than_the_table_build(controls, configs, steps, bo
     for fields in configs:
         config = ModelConfig(controls=controls, **fields)
         build = traced_peak(normal_equations, config, states, ctrl)
-        assert traced_peak(fit, config, states, ctrl) <= bound * build, fields
+        assert traced_peak(fit, config, states, ctrl) <= 1.01 * build, fields
 
 
 def test_fit_never_holds_the_whole_regression(lorenz_train):
