@@ -27,8 +27,9 @@ from pathlib import Path
 
 from . import hippo, model as model_mod
 from .data import LorenzParams, gen_lorenz, load_csv, normalize, split_controls
-from .errors import ConfigError, KoobaError, NumericalError, TrainingAbortedError
-from .model import ModelConfig, is_finite_number, is_integer
+from .errors import (ConfigError, KoobaError, NumericalError, TrainingAbortedError,
+                     is_finite_number, is_integer)
+from .model import ModelConfig
 
 log = logging.getLogger(__name__)
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError, InputError, NumericalError
+from .errors import ConfigError, InputError, NumericalError, check_integer
 
 log = logging.getLogger(__name__)
 
@@ -44,9 +44,11 @@ def gen_lorenz(params: LorenzParams = LorenzParams()) -> np.ndarray:
     """
     sigma, rho, beta, dt = params.sigma, params.rho, params.beta, params.dt
     half, sixth = dt / 2.0, dt / 6.0
-    rows = array("d")
+    # one preallocated row of doubles per step: a list would keep every value
+    # as a Python float object, four times the bytes
+    rows = array("d", [0.0]) * (3 * params.steps)
     x, y, z = (float(v) for v in params.x0)
-    for _ in range(params.steps):
+    for i in range(0, len(rows), 3):
         k1x, k1y, k1z = sigma * (y - x), x * (rho - z) - y, x * y - beta * z
         x2, y2, z2 = x + half * k1x, y + half * k1y, z + half * k1z
         k2x, k2y, k2z = sigma * (y2 - x2), x2 * (rho - z2) - y2, x2 * y2 - beta * z2
@@ -54,17 +56,17 @@ def gen_lorenz(params: LorenzParams = LorenzParams()) -> np.ndarray:
         k3x, k3y, k3z = sigma * (y3 - x3), x3 * (rho - z3) - y3, x3 * y3 - beta * z3
         x4, y4, z4 = x + dt * k3x, y + dt * k3y, z + dt * k3z
         k4x, k4y, k4z = sigma * (y4 - x4), x4 * (rho - z4) - y4, x4 * y4 - beta * z4
-        x = x + sixth * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-        y = y + sixth * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
-        z = z + sixth * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
-        rows.extend((x, y, z))
+        rows[i] = x = x + sixth * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+        rows[i + 1] = y = y + sixth * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
+        rows[i + 2] = z = z + sixth * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
     out = np.frombuffer(rows).reshape(-1, 3)
     # Python float + - * never raise on overflow, so the first row that fails
     # this test (written so that NaN fails it too) is the step that left the
-    # bounded region
-    bad = np.flatnonzero(~(np.abs(out) <= _BLOWUP_LIMIT).all(axis=1))
-    if bad.size:
-        raise NumericalError(f"trajectory diverged at step {bad[0]}")
+    # bounded region; it is looked for only once the whole table has failed it
+    inside = np.abs(out) <= _BLOWUP_LIMIT
+    if not inside.all():
+        step = np.flatnonzero(~inside.all(axis=1))[0]
+        raise NumericalError(f"trajectory diverged at step {step}")
     return out
 
 
@@ -217,14 +219,16 @@ def normalize(names: list[str], table: np.ndarray) -> TimeSeriesDataset:
         raise InputError(f"need a 2-d table with at least 2 rows, got shape {table.shape}")
     if len(names) != table.shape[1]:
         raise InputError(f"{len(names)} names for {table.shape[1]} columns")
-    bad = np.argwhere(~np.isfinite(table))
-    if bad.size:
-        row, col = bad[0]
+    finite = np.isfinite(table)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
         raise InputError(f"column {names[col]!r} holds the non-finite value "
                          f"{table[row, col]} at row {row}")
     split = int(np.floor(TRAIN_FRAC * table.shape[0]))
-    cmin = table[:split].min(axis=0)
-    cmax = table[:split].max(axis=0)
+    # one pass down each column: reducing a (rows, columns) table along its
+    # rows would run numpy's inner loop over one row's few cells at a time
+    cmin = np.array([col.min() for col in table[:split].T])
+    cmax = np.array([col.max() for col in table[:split].T])
     flat = np.nonzero(cmax == cmin)[0]
     if flat.size:
         raise InputError(f"column {names[flat[0]]!r} is constant over the train split "
@@ -258,11 +262,11 @@ def windows(states: np.ndarray, controls: np.ndarray, seq_len: int, horizon: int
     future controls (W, horizon, F_control) and targets (W, F_state, horizon).
 
     Window w starts at row w * stride; W is window_count(...), zero (with its
-    warning) when the series is too short.
+    warning) when the series is too short. seq_len, horizon and stride follow
+    the integer rule (errors.check_integer) from 1, as ModelConfig's do.
     """
-    if seq_len < 1 or horizon < 1 or stride < 1:
-        raise ConfigError(f"seq_len, horizon, stride must be positive, got "
-                          f"({seq_len}, {horizon}, {stride})")
+    for name, value in (("seq_len", seq_len), ("horizon", horizon), ("stride", stride)):
+        check_integer(name, value, 1)
     n_rows = states.shape[0]
     if controls.shape[0] != n_rows:
         raise InputError("states and controls are not aligned in time")

@@ -1,4 +1,14 @@
-"""Exception taxonomy shared across the package."""
+"""Exception taxonomy shared across the package, and the number rules behind ConfigError.
+
+The rules live here, beside the error they raise, so that every module can
+apply them without importing another: model to configs and model files, cli
+to reports and data to window sizes.
+"""
+
+import sys
+
+# int64's largest: the most any integer of a config, a model file or a report holds
+INT_MAX = 2**63 - 1
 
 
 class KoobaError(Exception):
@@ -23,3 +33,21 @@ class DegenerateCoefficientsError(NumericalError):
 
 class TrainingAbortedError(KoobaError):
     """Training produced a non-finite loss and stopped."""
+
+
+def is_finite_number(v) -> bool:
+    """A finite JSON number: an int or float, not a bool, NaN, an infinity or
+    an integer beyond the float range; the rule for model files and reports."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+
+
+def is_integer(v) -> bool:
+    """An int, not a bool, within int64's range: the integer rule for configs,
+    model files, reports and window sizes."""
+    return isinstance(v, int) and not isinstance(v, bool) and -INT_MAX - 1 <= v <= INT_MAX
+
+
+def check_integer(name: str, v, least: int) -> None:
+    """Raise ConfigError, naming the value as name, unless is_integer(v) and v >= least."""
+    if not (is_integer(v) and v >= least):
+        raise ConfigError(f"{name} must be an integer from {least} to {INT_MAX}, got {v!r}")

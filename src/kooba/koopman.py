@@ -9,7 +9,8 @@ closed form (companion_discrete): I - dt/2 A is unit upper-bidiagonal but
 for its last row, so its inverse is a fixed upper-triangular matrix of
 powers of dt/2 plus one outer product of that row's Horner sums: nothing
 here calls a linear solver. propagate and readout step one system;
-rollout runs the same recurrence for a batch of systems over a horizon and
+rollout runs the same recurrence for a batch of systems over a horizon,
+reading each step off one readout row built from the same closed form, and
 returns the forecast's affine pieces in the control weights.
 
 Convention note: the derivative stack follows the rescaled chain rule
@@ -186,8 +187,20 @@ def companion_discrete(a, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray
     Abar and w are zero there: a vanishing leading coefficient, or a singular
     I - hA, whose smallest pivot in the partially pivoted factorization is
     below SINGULAR_TOL times the largest (or 1). This is the one place that
-    decides it; require_defined turns a false ok of a single system into its
-    error.
+    decides it (_closed_form, which rollout shares); require_defined turns a
+    false ok of a single system into its error.
+    """
+    s, w, ok = _closed_form(a, dt)
+    abar = _abar(s, dt)
+    abar[~ok] = 0.0
+    return abar, w, ok
+
+
+def _closed_form(a, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The per-system pieces (s, w, ok) of companion_discrete: Abar = 2T - I + p s^T.
+
+    s is the closed form's s times 2 / D_{n-1}. Where ok is False, s and w
+    are zero.
     """
     if dt <= 0:
         raise ConfigError(f"step size must be positive, got {dt}")
@@ -210,28 +223,39 @@ def companion_discrete(a, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray
     record = np.maximum.accumulate(
         np.concatenate([np.ones(size.shape[:-1] + (1,)), size[..., :-1]], axis=-1), axis=-1)
     pivots = size / record
-    # each intermediate goes as soon as it is spent, so that with Abar and the
-    # buffer numpy allocates for its broadcast sum this function stays below
-    # the rollout's own high-water mark
+    # each intermediate goes as soon as it is spent, so that this function
+    # stays below the rollout's own high-water mark
     del size, record
     pivots[..., :-1] = np.maximum(pivots[..., :-1], 1.0)
     ok &= pivots.min(axis=-1) >= SINGULAR_TOL * np.maximum(pivots.max(axis=-1), 1.0)
     del pivots
 
-    base, p = _bilinear_base(n, float(dt))
     last = np.where(ok, D[..., n - 1], 1.0)     # any nonzero value where undefined
     scale = 2.0 / last
     s = D * -scale[..., None]                   # s of the closed form, times 2 / D_{n-1}
     del D, horner
     s[..., n - 1] = scale
-    # the outer product as a matmul over one term writes straight into abar
-    abar = p[:, None] @ s[..., None, :]
-    del s
-    abar += base
-    abar[~ok] = 0.0
-    w = (dt / (last * a_n))[..., None] * p
+    s[~ok] = 0.0
+    w = (dt / (last * a_n))[..., None] * _bilinear_base(n, float(dt))[1]
     w[~ok] = 0.0
-    return abar, w, ok
+    return s, w, ok
+
+
+def _abar(s: np.ndarray, dt: float) -> np.ndarray:
+    """Abar = (2T - I) + p s^T of each system, from _closed_form's s.
+
+    The shared 2T - I is copied in and the outer product, a matmul over one
+    term, added as an array of Abar's shape, so this holds two arrays of
+    Abar's size at most. Adding 2T - I in place would broadcast it, and for
+    such a sum numpy allocates an iteration buffer of up to 8,192 elements
+    whose share per system depends on how many systems there are.
+    """
+    n = s.shape[-1]
+    base, p = _bilinear_base(n, float(dt))
+    abar = np.empty(s.shape + (n,))
+    abar[...] = base
+    abar += p[:, None] @ s[..., None, :]
+    return abar
 
 
 def require_defined(a, ok, dt: float) -> None:
@@ -289,59 +313,72 @@ def rollout(a: np.ndarray, u_future: np.ndarray,
     lift_initial_state, then readout, for every system at once. a is
     (..., n+1); u_future (..., h, m) broadcasts against its leading axes.
     Convolution form of the lifted recurrence x' = Abar x + w u: carry
-    Abar^t [x0, w] for t = 0..h, read alpha off the first column and the
-    control impulse response k off the second, then G = Toeplitz(k) u. The
-    Toeplitz matrix is a strided view of k behind h - 1 zeros: entry (i, j)
-    sits i - j places after k_0, so rows step forward and columns step back.
-    The third result marks the systems that are defined (companion_discrete).
+    Abar^t [x0, w] for t = 0..h-1, step t of which gives alpha_t and the
+    control impulse response k_{t+1}, with k_0 = a_1.. . w; then
+    G = Toeplitz(k) u. The Toeplitz matrix is a strided view of k behind
+    h - 1 zeros: entry (i, j) sits i - j places after k_0, so rows step
+    forward and columns step back. The third result marks the systems that
+    are defined (companion_discrete); alpha and G are zero where they are
+    not.
 
-    One carry is held: two buffers step in place, and each step records the
-    carry's first entries and a_1.. . carry, step axis first, so what rollout
-    holds does not grow with h times n (rollout_bytes) and the sums after the
-    loop read whole steps. Each system runs the same products alone and in a
-    stack, so its numbers are the same bits either way.
+    readout after a step is a_0 x_0 + a_1.. . Abar x for the pre-step x, so
+    step t is one product of the readout row r = a_0 e_1 + Abar^T a_1.. with
+    the carry. With Abar = 2T - I + p s^T (_closed_form), that row is
+    r = a_0 e_1 + (2T - I)^T a_1.. + (p . a_1..) s, with no Abar. So the
+    carry steps h - 1 times, Abar is built (_abar) only where it steps
+    (h > 1), and the steps record only their h outputs, step axis first
+    (rollout_bytes counts what this holds). Each system runs the same
+    products alone and in a stack, so its numbers are the same bits either
+    way.
     """
     h = u_future.shape[-2]
-    abar, w, ok = companion_discrete(a, dt)
+    s, w, ok = _closed_form(a, dt)
+    n = w.shape[-1]
+    base, p = _bilinear_base(n, float(dt))
+    abar = _abar(s, dt) if h > 1 else None
+    a1 = a[..., None, 1:]
+    r = a1 @ base                                           # (..., 1, n)
+    r += (a1 @ p[:, None]) @ s[..., None, :]
+    del s
+    r[..., 0, 0] += a[..., 0]
+    r[~ok] = 0.0
     cur = np.empty(w.shape + (2,))                          # (..., n, 2)
-    cur[..., 0] = _ode_scale(a.shape[-1] - 1)[1][:0:-1]     # lift_initial_state's x
+    cur[..., 0] = _ode_scale(n)[1][:0:-1]                   # lift_initial_state's x
     cur[..., 1] = w
     nxt = np.empty_like(cur)
-    first = np.empty((h + 1,) + ok.shape + (2,))            # carry[..., 0, :]
-    dot = np.empty((h + 1,) + ok.shape + (1, 2))            # a_1.. . carry
-    a1 = a[..., None, 1:]
-    for t in range(h + 1):
-        first[t] = cur[..., 0, :]
-        np.matmul(a1, cur, out=dot[t])
-        if t < h:
+    out = np.empty((h,) + ok.shape + (1, 2))                # r . carry: alpha_t, k_{t+1}
+    for t in range(h):
+        np.matmul(r, cur, out=out[t])
+        if t < h - 1:
             np.matmul(abar, cur, out=nxt)
             cur, nxt = nxt, cur
-    del abar, w, cur, nxt
-    # a_0 first_t + a_1.. . carry_{t+1}: alpha_t in column 0, k_{t+1} in column 1
-    step = first[:h]
-    step *= a[..., :1]
-    step += dot[1:, ..., 0, :]
-    alpha = step[..., 0].transpose(*range(1, ok.ndim + 1), 0).copy()   # (..., h)
+    del abar, r, cur, nxt
+    alpha = out[..., 0, 0].transpose(*range(1, ok.ndim + 1), 0).copy()   # (..., h)
     padded = np.zeros((2 * h - 1,) + ok.shape)              # k behind h - 1 zeros, step axis first
-    padded[h - 1] = dot[0, ..., 0, 1]
-    padded[h:] = step[:h - 1, ..., 1]
-    s = padded.strides[0]
-    toeplitz = np.ndarray(ok.shape + (h, h), padded.dtype, padded, (h - 1) * s,
-                          padded.strides[1:] + (s, -s))
+    padded[h - 1] = (a1 @ w[..., None])[..., 0, 0]
+    padded[h:] = out[:h - 1, ..., 0, 1]
+    del out, w
+    st = padded.strides[0]
+    toeplitz = np.ndarray(ok.shape + (h, h), padded.dtype, padded, (h - 1) * st,
+                          padded.strides[1:] + (st, -st))
     return alpha, toeplitz @ u_future, ok
 
 
 def rollout_bytes(n: int, h: int, m: int) -> int:
     """Bytes rollout holds at once per system of order n over h steps and m controls, then frees.
 
-    In float64, beside the step records (first entries and a_1.. . carry,
-    4 (h + 1)), the larger of two phases:
+    In float64, two for flags, scalars and numpy's scratch, beside the
+    largest of its phases:
 
-    - the steps: Abar (n^2), w (n) and the two carry buffers (4n);
-    - the Toeplitz response: alpha (h), the padded impulse response (2h - 1)
-      and G (h m).
+    - where the carry steps (h > 1), Abar's build (_abar) beside s and w:
+      2n^2 + 2n;
+    - the steps: w, r, the two carry buffers (4n) and the outputs (2h),
+      beside Abar where it was built;
+    - the Toeplitz response: the outputs, w, alpha (h) and the padded
+      impulse response (2h - 1), then alpha, the padded response and G (h m).
 
-    The coefficients a are the caller's, and companion_discrete's own
-    temporaries stay below the steps' phase.
+    The discretization (_closed_form) and the readout row's build hold less
+    than the steps. The coefficients a are the caller's.
     """
-    return 8 * (4 * (h + 1) + max(n * n + 5 * n, 3 * h - 1 + h * m))
+    abar = n * n if h > 1 else 0
+    return 8 * (2 + max(2 * abar + 2 * n, abar + 6 * n + 2 * h, 5 * h + n, 3 * h - 1 + h * m))

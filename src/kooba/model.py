@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import json
 import logging
-import sys
 import tracemalloc
 from dataclasses import dataclass, field, asdict
 from typing import NamedTuple
@@ -42,7 +41,8 @@ import numpy as np
 
 from . import hippo, koopman
 from .data import window_count, windows
-from .errors import ConfigError, InputError, NumericalError, TrainingAbortedError
+from .errors import (ConfigError, InputError, NumericalError, TrainingAbortedError,
+                     check_integer, is_finite_number)
 
 log = logging.getLogger(__name__)
 
@@ -51,27 +51,6 @@ MODEL_FORMAT = 1
 # at its old default, given here, and rejects any other value
 REMOVED_CONFIG_KEYS = {"momentum": 0.0, "teacher_forcing": False, "extended_order": False,
                        "s0": 1.0, "dt_system": None, "omega": None, "dt_basis": None}
-# int64's largest: the most any integer of a config, a model file or a report holds
-INT_MAX = 2**63 - 1
-
-
-def is_finite_number(v) -> bool:
-    """A finite JSON number: an int or float, not a bool, NaN, an infinity or
-    an integer beyond the float range; the rule for model files and reports."""
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
-
-
-def is_integer(v) -> bool:
-    """An int, not a bool, within int64's range: the integer rule for configs,
-    model files and reports."""
-    return isinstance(v, int) and not isinstance(v, bool) and -INT_MAX - 1 <= v <= INT_MAX
-
-
-def check_integer(name: str, v, least: int) -> None:
-    """Raise ConfigError, naming the value as name, unless is_integer(v) and v >= least."""
-    if not (is_integer(v) and v >= least):
-        raise ConfigError(f"{name} must be an integer from {least} to {INT_MAX}, got {v!r}")
-
 
 # least value of each integer field but order, whose bounds are koopman.check_order's
 _LEAST = {"controls": 1, "seq_len": 1, "horizon": 1, "epochs": 1, "batch_size": 1,

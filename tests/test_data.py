@@ -375,3 +375,17 @@ def test_window_guards():
         windows(states, states, 0, 4, 8)
     with pytest.raises(InputError):
         windows(states, np.zeros((19, 1)), 8, 4, 8)
+
+
+@pytest.mark.parametrize("args, name, value", [
+    ((8.0, 1, 8), "seq_len", 8.0), ((8, True, 8), "horizon", True),
+    ((8, 1, 4.0), "stride", 4.0), ((8, 0, 8), "horizon", 0)],
+    ids=["float-seq-len", "bool-horizon", "float-stride", "zero-horizon"])
+def test_window_sizes_follow_the_integer_rule(args, name, value):
+    # ModelConfig's rule: a float or a bool is refused by name before
+    # anything is sized by it
+    states = np.zeros((20, 1))
+    with pytest.raises(ConfigError) as info:
+        windows(states, states, *args)
+    assert str(info.value) == (f"{name} must be an integer from 1 to 9223372036854775807, "
+                               f"got {value!r}")

@@ -408,6 +408,14 @@ def test_rollout_bytes_matches_the_traced_peak_of_a_chunk(horizon):
                                          rel=0.1), (controls, order)
 
 
+def test_a_one_step_rollout_holds_no_square_matrix_per_system():
+    # at h = 1 the readout row stands in for Abar, so a full chunk of 128
+    # systems of order 12 holds less than one 12 x 12 matrix per system
+    rng = np.random.default_rng(1)
+    a = rng.normal(size=(64, 2, 13))
+    assert traced_peak(rollout, a, rng.normal(size=(64, 1, 1, 1)), 0.25) < 128 * 12 * 12 * 8
+
+
 @pytest.mark.parametrize("horizon", [1, 2, 8, 16])
 def test_rollout_of_one_system_is_its_row_of_a_stack(horizon, lorenz_table):
     # predict rolls out one system and the training chunks a stack: each

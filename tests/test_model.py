@@ -84,7 +84,7 @@ LEAST = {"controls": 1, "seq_len": 1, "horizon": 1, "epochs": 1, "batch_size": 1
     ("model-file", "skipped_windows", 2**63),
     ("report", "seed", 2**63)])
 def test_integer_rule(entry, name, value, tmp_path):
-    # one rule, model.check_integer over model.is_integer, for config fields,
+    # one rule, errors.check_integer over errors.is_integer, for config fields,
     # model files and reports; order's bounds are koopman.check_order's
     text = (f"{name} must be an integer from {LEAST.get(name, 0)} to 9223372036854775807, "
             f"got {value!r}")
@@ -564,42 +564,43 @@ def _reference_rollout(config, c, u_future, b):
 
 
 def _reference_pieces(config, states, controls):
-    """alpha, G, y per window and feature from hippo.project and the step API."""
+    """alpha, G, y per window and feature from hippo.project and the step API,
+    and the windows' start rows: a window with an undefined system is left out."""
     basis = build_basis(config)
     L, h, m = config.seq_len, config.horizon, config.controls
-    alpha, G, y = [], [], []
+    alpha, G, y, starts = [], [], [], []
     for start in range(0, states.shape[0] - L - h + 1, config.eff_stride):
         a_w = np.empty((states.shape[1], h))
         g_w = np.empty((states.shape[1], h, m))
-        for f in range(states.shape[1]):
-            c = project(basis, states[start:start + L, f]).c
-            u = controls[start + L:start + L + h]
-            a_w[f] = _reference_rollout(config, c, u, np.zeros(m))
-            for j in range(m):
-                g_w[f, :, j] = _reference_rollout(config, c, u, np.eye(m)[j]) - a_w[f]
+        try:
+            for f in range(states.shape[1]):
+                c = project(basis, states[start:start + L, f]).c
+                u = controls[start + L:start + L + h]
+                a_w[f] = _reference_rollout(config, c, u, np.zeros(m))
+                for j in range(m):
+                    g_w[f, :, j] = _reference_rollout(config, c, u, np.eye(m)[j]) - a_w[f]
+        except NumericalError:
+            continue
         alpha.append(a_w)
         G.append(g_w)
         y.append(states[start + L:start + L + h].T)
-    return np.array(alpha), np.array(G), np.array(y)
+        starts.append(start)
+    return np.array(alpha), np.array(G), np.array(y), starts
 
 
 def _rel(got, ref):
     return float(np.max(np.abs(got - ref)) / np.max(np.abs(ref)))
 
 
-@pytest.mark.parametrize("method", ["legs", "legt"])
-@pytest.mark.parametrize("horizon", [1, 8])
-@pytest.mark.parametrize("controls", [1, 2])
-def test_chunked_rollout_and_predict_match_step_api(method, horizon, controls):
-    # 70 windows x 2 features: the second chunk of rows is partial
-    config = ModelConfig(method=method, order=5, horizon=horizon, stride=3,
-                         controls=controls)
-    n_win = 70
+def _match_step_api(config, controls):
+    """A chunked rollout and predict against the step API on 70 smooth windows."""
+    horizon, n_win = config.horizon, 70
     assert (n_win * 2) % CHUNK_ROWS != 0
     states, ctrl = _smooth_series(8 + horizon + 3 * (n_win - 1), 2, controls, seed=horizon)
     got_alpha, got_G, got_y, skipped = whole_regression(config, states, ctrl)
-    alpha, G, y = _reference_pieces(config, states, ctrl)
-    assert skipped == 0 and got_alpha.shape == (n_win, 2, horizon)
+    alpha, G, y, starts = _reference_pieces(config, states, ctrl)
+    assert skipped == n_win - len(starts) and len(starts) >= 20
+    assert got_alpha.shape == (len(starts), 2, horizon)
     assert _rel(got_alpha, alpha) < 1e-12
     assert _rel(got_G, G) < 1e-12
     np.testing.assert_array_equal(got_y, y)
@@ -607,14 +608,41 @@ def test_chunked_rollout_and_predict_match_step_api(method, horizon, controls):
     b = np.array([[0.3, -0.2][:controls], [-0.4, 0.1][:controls]])
     model = FlightKoobaModel(config=config, b=b)
     basis = build_basis(config)
-    for w in (0, 41, n_win - 1):
-        s = 3 * w
+    for w in (0, len(starts) // 2, len(starts) - 1):
+        s = starts[w]
         for f in range(2):
             state = project(basis, states[s:s + 8, f])
             u = ctrl[s + 8:s + 8 + horizon]
             got = predict(model, state, u, f)
             assert _rel(got, _reference_rollout(config, state.c, u, b[f])) < 1e-12
             assert _rel(got, alpha[w, f] + G[w, f] @ b[f]) < 1e-12
+    return skipped
+
+
+@pytest.mark.parametrize("method", ["legs", "legt"])
+@pytest.mark.parametrize("horizon", [1, 2, 8])
+@pytest.mark.parametrize("controls", [1, 2])
+def test_chunked_rollout_and_predict_match_step_api(method, horizon, controls):
+    # 70 windows x 2 features: the second chunk of rows is partial. One step
+    # reads the readout row alone and two is the first horizon that builds Abar
+    config = ModelConfig(method=method, order=5, horizon=horizon, stride=3,
+                         controls=controls)
+    assert _match_step_api(config, controls) == 0
+
+
+@pytest.mark.parametrize("method", ["legs", "legt"])
+@pytest.mark.parametrize("horizon", [1, 2])
+@pytest.mark.parametrize("controls", [1, 2])
+def test_order_12_rollout_matches_step_api(method, horizon, controls):
+    # order 12 is where the readout row and the step API round furthest apart,
+    # and where the pivot guard leaves out about half of these windows. Over
+    # eight steps its systems, whose spectral radius is above 1, magnify the
+    # rounding of either side to 1e-12 to 3e-12 of the largest entry (as they
+    # did with the rollout that carried Abar at every horizon), so this stops
+    # at two
+    config = ModelConfig(method=method, order=12, horizon=horizon, stride=3,
+                         controls=controls)
+    assert _match_step_api(config, controls) > 0
 
 
 def _reference_sgd(config, alpha, G, y):
@@ -648,24 +676,26 @@ def descent_series(request):
     """73 windows of a smooth series and their step-API pieces, per control count."""
     config = ModelConfig(order=4, horizon=2, stride=4, controls=request.param)
     states, ctrl = _smooth_series(300, 2, request.param, seed=3)
-    return config, states, ctrl, _reference_pieces(config, states, ctrl)
+    return config, states, ctrl, _reference_pieces(config, states, ctrl)[:3]
 
 
-@pytest.mark.parametrize("batch_size, epochs", [(7, 6), (100, 6), (1, 6), (2, 22)],
+@pytest.mark.parametrize("batch_size, epochs", [(7, 6), (100, 6), (1, 6), (2, None)],
                          ids=["ragged", "one-batch", "one-window", "blocks"])
 def test_fit_matches_per_window_descent(batch_size, epochs, descent_series):
     # 73 windows: batches of 7 leave a last batch of 3, 100 makes one batch
     # (a scan with no levels), 1 makes 73 batches (seven levels); with two
     # controls the composed maps are 2x2 matrices, whose order matters.
-    # Batches of 2 (a last batch of 1) over 22 epochs run as three or more
-    # blocks of epochs, the last one partial.
+    # Batches of 2 (a last batch of 1) run for two blocks of epochs and one
+    # epoch more, so three blocks, the last one partial, whatever the
+    # training budget makes a block.
     base, states, ctrl, (alpha, G, y) = descent_series
-    config = dataclasses.replace(base, epochs=epochs, batch_size=batch_size,
-                                 learning_rate=0.05, seed=5)
+    config = dataclasses.replace(base, batch_size=batch_size, learning_rate=0.05, seed=5)
     assert alpha.shape[0] == 73
-    if batch_size == 2:
+    if epochs is None:
         block = _epochs_per_block(config, 73, 2)[0]
+        epochs = 2 * block + 1
         assert -(-epochs // block) >= 3 and epochs % block
+    config = dataclasses.replace(config, epochs=epochs)
     b_ref, loss_ref = _reference_sgd(config, alpha, G, y)
     model = fit(config, states, ctrl)
     assert _rel(model.b, b_ref) < 1e-12
@@ -736,14 +766,16 @@ def lorenz_train(lorenz_ds):
 
 def test_fewer_epochs_give_a_prefix_of_the_loss_history(lorenz_train):
     # fit runs its epochs in blocks; ending inside the first block, at its
-    # end, one epoch after it or inside a later block changes no earlier epoch
+    # end, one epoch after it or inside a later block changes no earlier epoch.
+    # The later run's length follows the block, which the training budget sets
     states, controls = lorenz_train
     config = ModelConfig()
     block = _epochs_per_block(config, normal_equations(config, states, controls).table.shape[0],
                               states.shape[1])[0]
-    assert 7 <= block < 22 and 23 % block
+    later = 2 * block + 1
+    assert 2 < block and later < config.epochs and later % block
     full = fit(config, states, controls).loss_history
-    for k in (1, 2, block, block + 1, 23):
+    for k in (1, 2, block, block + 1, later):
         assert fit(dataclasses.replace(config, epochs=k), states, controls).loss_history == full[:k]
 
 
