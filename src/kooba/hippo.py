@@ -165,8 +165,18 @@ def block_step(state: CoefficientState, block, kernel: BlockKernel) -> Coefficie
         raise InputError(f"block length {block.shape} does not match kernel k = {kernel.k}")
     if not np.all(np.isfinite(block)):
         raise InputError(f"non-finite sample in block at step {state.step_index}")
-    c_next = state.c @ kernel.power.T + block @ kernel.input_map.T
+    c_next = state.c @ kernel.power.T + block_input(block, kernel)
     return CoefficientState(c=c_next, step_index=state.step_index + kernel.k)
+
+
+def block_input(block: np.ndarray, kernel: BlockKernel) -> np.ndarray:
+    """The input term block @ input_map^T of block_step, unchecked.
+
+    From the zero state this is the whole update (block_step adds zeros to
+    it), so a caller whose blocks are already known to be finite arrays of
+    length kernel.k gets the coefficients in one product.
+    """
+    return block @ kernel.input_map.T
 
 
 def project(basis: HippoBasis, samples, state: CoefficientState | None = None) -> CoefficientState:

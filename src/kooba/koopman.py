@@ -325,11 +325,13 @@ def rollout(a: np.ndarray, u_future: np.ndarray,
     step t is one product of the readout row r = a_0 e_1 + Abar^T a_1.. with
     the carry. With Abar = 2T - I + p s^T (_closed_form), that row is
     r = a_0 e_1 + (2T - I)^T a_1.. + (p . a_1..) s, with no Abar. So the
-    carry steps h - 1 times, Abar is built (_abar) only where it steps
-    (h > 1), and the steps record only their h outputs, step axis first
-    (rollout_bytes counts what this holds). Each system runs the same
-    products alone and in a stack, so its numbers are the same bits either
-    way.
+    carry steps h - 1 times, and Abar (_abar) and the carry's second buffer
+    exist only where it steps (h > 1). k_0 is taken before the steps, so w
+    lives on only in the carry, and the steps record only their h outputs,
+    step axis first. rollout_bytes counts what each phase holds: at h = 1
+    the largest is _closed_form's pivot record, at h > 1 Abar's build or the
+    steps beside Abar. Each system runs the same products alone and in a
+    stack, so its numbers are the same bits either way.
     """
     h = u_future.shape[-2]
     s, w, ok = _closed_form(a, dt)
@@ -342,10 +344,12 @@ def rollout(a: np.ndarray, u_future: np.ndarray,
     del s
     r[..., 0, 0] += a[..., 0]
     r[~ok] = 0.0
+    k0 = (a1 @ w[..., None])[..., 0, 0]
     cur = np.empty(w.shape + (2,))                          # (..., n, 2)
     cur[..., 0] = _ode_scale(n)[1][:0:-1]                   # lift_initial_state's x
     cur[..., 1] = w
-    nxt = np.empty_like(cur)
+    del w
+    nxt = np.empty_like(cur) if h > 1 else None
     out = np.empty((h,) + ok.shape + (1, 2))                # r . carry: alpha_t, k_{t+1}
     for t in range(h):
         np.matmul(r, cur, out=out[t])
@@ -355,9 +359,9 @@ def rollout(a: np.ndarray, u_future: np.ndarray,
     del abar, r, cur, nxt
     alpha = out[..., 0, 0].transpose(*range(1, ok.ndim + 1), 0).copy()   # (..., h)
     padded = np.zeros((2 * h - 1,) + ok.shape)              # k behind h - 1 zeros, step axis first
-    padded[h - 1] = (a1 @ w[..., None])[..., 0, 0]
+    padded[h - 1] = k0
     padded[h:] = out[:h - 1, ..., 0, 1]
-    del out, w
+    del out, k0
     st = padded.strides[0]
     toeplitz = np.ndarray(ok.shape + (h, h), padded.dtype, padded, (h - 1) * st,
                           padded.strides[1:] + (st, -st))
@@ -370,15 +374,21 @@ def rollout_bytes(n: int, h: int, m: int) -> int:
     In float64, two for flags, scalars and numpy's scratch, beside the
     largest of its phases:
 
+    - the discretization's pivot record (_closed_form): the Horner sums,
+      their magnitudes, the ones-padded running record, the pivots and
+      numpy's buffer for dividing arrays of two layouts, beside a_n: 5n + 1.
+      This is the largest phase at h = 1;
     - where the carry steps (h > 1), Abar's build (_abar) beside s and w:
       2n^2 + 2n;
-    - the steps: w, r, the two carry buffers (4n) and the outputs (2h),
-      beside Abar where it was built;
-    - the Toeplitz response: the outputs, w, alpha (h) and the padded
+    - the steps: r, the carry (2n, and 2n more for its second buffer where
+      it steps), k_0 and the outputs (2h), beside Abar where it was built.
+      At h > 1 this or Abar's build is the largest phase;
+    - the Toeplitz response: the outputs, k_0, alpha (h) and the padded
       impulse response (2h - 1), then alpha, the padded response and G (h m).
 
-    The discretization (_closed_form) and the readout row's build hold less
-    than the steps. The coefficients a are the caller's.
+    The readout row's build holds less than the steps. The coefficients a
+    are the caller's.
     """
-    abar = n * n if h > 1 else 0
-    return 8 * (2 + max(2 * abar + 2 * n, abar + 6 * n + 2 * h, 5 * h + n, 3 * h - 1 + h * m))
+    abar, carry = (n * n, 4 * n) if h > 1 else (0, 2 * n)
+    return 8 * (2 + max(5 * n + 1, 2 * abar + 2 * n, abar + n + carry + 1 + 2 * h, 5 * h,
+                         3 * h - 1 + h * m))

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from kooba import FlightKoobaModel, ModelConfig, predict
+from kooba import FlightKoobaModel, ModelConfig, normalize, predict
 from kooba.hippo import project
 from kooba.model import _chunks, _windows, build_basis
 
@@ -17,6 +17,23 @@ def traced_peak(fn, *args):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def flight_track_dataset(rows=20_000, seed=0):
+    """A normalized table shaped like one of kooba bench's flight-track files.
+
+    Four noisy targets (east and north position, altitude, ground speed)
+    and, last, one control: a climb-rate command, constant over 400-row
+    segments, that the altitude integrates. No window is exactly flat.
+    """
+    rng = np.random.default_rng(seed)
+    t = np.arange(rows, dtype=float)
+    climb = np.repeat(rng.choice([-10.0, 0.0, 10.0], size=rows // 400 + 1), 400)[:rows]
+    table = np.column_stack([np.cumsum(np.cos(t / 900.0)), np.cumsum(np.sin(t / 700.0)),
+                             3000.0 + 0.25 * np.cumsum(climb),
+                             200.0 + 20.0 * np.sin(t / 1500.0), climb])
+    table[:, :4] += rng.normal(size=(rows, 4)) * [0.005, 0.005, 3.0, 0.5]
+    return normalize(["x_km", "y_km", "alt_m", "speed_mps", "climb_cmd_mps"], table)
 
 
 def whole_regression(config, states, controls):

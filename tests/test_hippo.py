@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import lu_factor, lu_solve
 
-from kooba import (ConfigError, InputError, NumericalError, block_step,
+from kooba import (ConfigError, InputError, NumericalError, block_input, block_step,
                    build_basis, build_continuous, build_kernel,
                    discretize_bilinear, init_state, lookback_argument,
                    project, reconstruct, step)
@@ -155,6 +155,17 @@ def test_block_matches_sequential_steps():
         batched = block_step(init_state(8), block, kernel)
         np.testing.assert_allclose(batched.c, looped.c, atol=1e-12)
         assert batched.step_index == looped.step_index == 16
+
+
+def test_block_input_is_the_update_from_zero():
+    # model projects its checked windows with the input product alone; from
+    # the zero state block_step adds zeros to that same product
+    rng = np.random.default_rng(8)
+    for method, omega in (("legt", 2.0), ("legs", None)):
+        kernel = build_kernel(build_basis(method, 6, dt=0.25, omega=omega), 8)
+        blocks = rng.normal(size=(5, 3, 8))
+        np.testing.assert_array_equal(block_input(blocks, kernel),
+                                      block_step(init_state(6), blocks, kernel).c)
 
 
 def test_block_kernel_power_structure():

@@ -416,6 +416,18 @@ def test_a_one_step_rollout_holds_no_square_matrix_per_system():
     assert traced_peak(rollout, a, rng.normal(size=(64, 1, 1, 1)), 0.25) < 128 * 12 * 12 * 8
 
 
+@pytest.mark.parametrize("order", [3, 6, 12])
+def test_a_one_step_rollout_holds_one_carry_and_no_spare_w(order):
+    # at h = 1 the carry never steps, so there is no second carry buffer, and
+    # w lives on only in the carry: a full chunk of 128 systems peaks in the
+    # discretization's pivot record, about 5n + 3 floats per system, where a
+    # spare buffer and a kept w would add 3n
+    rng = np.random.default_rng(order)
+    a = rng.normal(size=(64, 2, order + 1))
+    peak = traced_peak(rollout, a, rng.normal(size=(64, 1, 1, 1)), 0.25)
+    assert peak < 128 * (5 * order + 4) * 8
+
+
 @pytest.mark.parametrize("horizon", [1, 2, 8, 16])
 def test_rollout_of_one_system_is_its_row_of_a_stack(horizon, lorenz_table):
     # predict rolls out one system and the training chunks a stack: each

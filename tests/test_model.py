@@ -20,7 +20,7 @@ from kooba.model import (CHUNK_ROWS, MASK_ROWS, FlightKoobaModel, _chunk_windows
                          _epochs_per_block, _require_finite, _table_columns, build_basis,
                          normal_equations, table_build_peak)
 
-from conftest import realizable_series, traced_peak, whole_regression
+from conftest import flight_track_dataset, realizable_series, traced_peak, whole_regression
 
 GOLDEN = Path(__file__).parent / "data" / "golden_model.json"
 
@@ -779,7 +779,7 @@ def test_fewer_epochs_give_a_prefix_of_the_loss_history(lorenz_train):
         assert fit(dataclasses.replace(config, epochs=k), states, controls).loss_history == full[:k]
 
 
-@pytest.mark.parametrize("controls, configs, steps", [
+@pytest.mark.parametrize("controls, configs, series", [
     (1, [{"horizon": 1}, {"horizon": 8}], None),
     (2, [{"horizon": 1}, {"horizon": 8}], None),
     (1, [{"order": 2}], None),
@@ -787,15 +787,23 @@ def test_fewer_epochs_give_a_prefix_of_the_loss_history(lorenz_train):
     (1, [{"order": 4}], None),
     (1, [{}], 60_000),
     (1, [{"horizon": 4, "stride": 1}], None),
-], ids=["1", "2", "order-2", "order-3", "order-4", "steps-60000", "h4-stride1"])
-def test_fit_allocates_no_more_than_the_table_build(controls, configs, steps, lorenz_ds):
+    (1, [{"method": "legt", "stride": 64, "epochs": 5}], "track"),
+], ids=["1", "2", "order-2", "order-3", "order-4", "steps-60000", "h4-stride1",
+        "track-legt-stride64"])
+def test_fit_allocates_no_more_than_the_table_build(controls, configs, series, lorenz_ds):
     # the epochs must not set fit's high-water mark: a block of them takes at
     # most the bytes of the chunk temporaries that the table build frees.
     # Where one epoch's gather outgrows them (low orders, long series, many
     # windows), the gather is cut into slices of whole batches. At horizon 4,
-    # stride 1 an int64 permutation of the 10,489 windows would fill them
-    ds = lorenz_ds if steps is None else normalize(["x", "y", "z"],
-                                                   gen_lorenz(LorenzParams(steps=steps)))
+    # stride 1 an int64 permutation of the 10,489 windows would fill them.
+    # series is the Lorenz fixture (None), a Lorenz run of that many steps,
+    # or a flight track in the shape kooba bench trains on: four targets,
+    # one control, 219 windows
+    if series == "track":
+        ds = flight_track_dataset()
+    else:
+        ds = lorenz_ds if series is None else normalize(["x", "y", "z"],
+                                                        gen_lorenz(LorenzParams(steps=series)))
     states, ctrl = split_controls(ds, controls)
     states, ctrl = states[:ds.split_index], ctrl[:ds.split_index]
     for fields in configs:
