@@ -10,8 +10,8 @@ from .errors import (ConfigError, DegenerateCoefficientsError, InputError,
                      KoobaError, NumericalError, TrainingAbortedError)
 from .legendre import (gauss_legendre_rule, legendre_eval, legendre_values,
                        reconstruct)
-from .hippo import (BlockKernel, CoefficientState, HippoBasis, block_input,
-                    block_step, build_basis, build_continuous, build_kernel,
+from .hippo import (BlockKernel, CoefficientState, HippoBasis, block_step,
+                    build_basis, build_continuous, build_kernel,
                     discretize_bilinear, init_state, lookback_argument,
                     project, step)
 from .koopman import (KoopmanSystem, LiftedState, build_companion, build_system,

@@ -21,6 +21,8 @@ TRAIN_FRAC = 0.7      # the first 70% of the rows fit the scaler and train the m
 
 @dataclass(frozen=True)
 class LorenzParams:
+    """Lorenz system and integrator settings: dt in (0, 0.05], and steps
+    following errors.check_integer from 1, else ConfigError."""
     sigma: float = 10.0
     rho: float = 28.0
     beta: float = 8.0 / 3.0
@@ -31,8 +33,7 @@ class LorenzParams:
     def __post_init__(self):
         if not 0 < self.dt <= 0.05:
             raise ConfigError(f"dt must be in (0, 0.05] for the fixed-step integrator, got {self.dt}")
-        if self.steps < 1:
-            raise ConfigError(f"steps must be positive, got {self.steps}")
+        check_integer("steps", self.steps, 1)
 
 
 def gen_lorenz(params: LorenzParams = LorenzParams()) -> np.ndarray:
@@ -239,9 +240,14 @@ def normalize(names: list[str], table: np.ndarray) -> TimeSeriesDataset:
 
 
 def split_controls(dataset: TimeSeriesDataset, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Last k columns become control inputs, the rest are forecast targets."""
+    """Last k columns become control inputs, the rest are forecast targets.
+
+    k follows errors.check_integer from 1 and must leave one target column,
+    else ConfigError.
+    """
+    check_integer("control count k", k, 1)
     n_feat = dataset.features.shape[1]
-    if not 1 <= k < n_feat:
+    if k >= n_feat:
         raise ConfigError(f"control count k = {k} must satisfy 1 <= k < {n_feat}")
     return dataset.features[:, : n_feat - k], dataset.features[:, n_feat - k:]
 

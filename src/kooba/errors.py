@@ -2,7 +2,8 @@
 
 The rules live here, beside the error they raise, so that every module can
 apply them without importing another: model to configs and model files, cli
-to reports and data to window sizes.
+to reports, data to window sizes, hippo, koopman and legendre to orders, block
+lengths and step sizes.
 """
 
 import sys
@@ -41,9 +42,15 @@ def is_finite_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
+def check_positive(name: str, v) -> None:
+    """Raise ConfigError, naming the value as name, unless is_finite_number(v) and v > 0."""
+    if not (is_finite_number(v) and v > 0):
+        raise ConfigError(f"{name} must be a positive finite number, got {v!r}")
+
+
 def is_integer(v) -> bool:
     """An int, not a bool, within int64's range: the integer rule for configs,
-    model files, reports and window sizes."""
+    model files, reports, window sizes, orders and block lengths."""
     return isinstance(v, int) and not isinstance(v, bool) and -INT_MAX - 1 <= v <= INT_MAX
 
 

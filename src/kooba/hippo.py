@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InputError, NumericalError
+from .errors import ConfigError, InputError, NumericalError, check_integer, check_positive
 
 _STABILITY_SLACK = 1e-6
 METHODS = ("legt", "legs")      # the operator families; ModelConfig and the CLI take these
@@ -28,14 +28,16 @@ METHODS = ("legt", "legs")      # the operator families; ModelConfig and the CLI
 
 def build_continuous(method: str, order: int,
                      omega: float | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Continuous operator pair (N, M) for the chosen family."""
-    if order < 0:
-        raise ConfigError(f"order must be non-negative, got {order}")
+    """Continuous operator pair (N, M) for the chosen family.
+
+    order follows errors.check_integer from 0, and legt's window omega
+    errors.check_positive; legs ignores omega.
+    """
+    check_integer("order", order, 0)
     n_idx = np.arange(order + 1)
 
     if method == "legt":
-        if omega is None or omega <= 0:
-            raise ConfigError("legt needs a positive window length omega")
+        check_positive("omega", omega)
         rows = n_idx[:, None]
         cols = n_idx[None, :]
         mag = np.sqrt((2 * rows + 1) * (2 * cols + 1)).astype(float)
@@ -61,10 +63,10 @@ def discretize_bilinear(n_mat: np.ndarray, m_vec: np.ndarray,
 
     One dense solve with [I + dt/2 N | M] as the right-hand side; the matrices
     involved are small. I - dt/2 N counts as singular when its smallest
-    singular value is under 1e-14 of the largest (or of 1).
+    singular value is under 1e-14 of the largest (or of 1). dt follows
+    errors.check_positive.
     """
-    if dt <= 0:
-        raise ConfigError(f"step size must be positive, got {dt}")
+    check_positive("dt", dt)
     dim = n_mat.shape[0]
     eye = np.eye(dim)
     half = (dt / 2.0) * n_mat
@@ -93,9 +95,10 @@ def build_basis(method: str, order: int, dt: float = 1.0,
                 omega: float | None = None) -> HippoBasis:
     """Construct and discretize a basis; asserts the update is stable.
 
-    dt defaults to one sample period. The spectral radius of Nbar is checked
-    at construction and construction fails loudly if the discrete update could
-    amplify state.
+    dt defaults to one sample period; order, omega and dt follow the rules of
+    build_continuous and discretize_bilinear. The spectral radius of Nbar is
+    checked at construction and construction fails loudly if the discrete
+    update could amplify state.
     """
     n_mat, m_vec = build_continuous(method, order, omega)
     nbar, mbar = discretize_bilinear(n_mat, m_vec, dt)
@@ -141,9 +144,8 @@ class BlockKernel:
 
 
 def build_kernel(basis: HippoBasis, k: int) -> BlockKernel:
-    """Kernel for block updates of length k."""
-    if k < 1:
-        raise ConfigError(f"block length must be at least 1, got {k}")
+    """Kernel for block updates of length k, which follows errors.check_integer from 1."""
+    check_integer("block length", k, 1)
     input_map = np.empty((basis.order + 1, k))
     input_map[:, k - 1] = basis.Mbar
     # row-major like the products below, so every power takes the same BLAS path
@@ -196,8 +198,9 @@ def lookback_argument(basis: HippoBasis, age: float) -> float:
     s = 2 * exp(-age) - 1, so resolution concentrates near the present edge
     and an age of ln(2/(1+s)) is needed before a query at s sees real data.
     Reconstruction of the history at that age is legendre.reconstruct(c, s).
+    A negative or NaN age raises InputError.
     """
-    if age < 0:
+    if not age >= 0:
         raise InputError(f"age must be non-negative, got {age}")
     if basis.method == "legt":
         if age > basis.omega:

@@ -35,7 +35,8 @@ from math import isfinite
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateCoefficientsError, InputError, NumericalError
+from .errors import (ConfigError, DegenerateCoefficientsError, InputError, NumericalError,
+                     check_positive)
 from .legendre import normalization
 
 # double-precision factorials are exact only up to about 32!; beyond that the
@@ -200,10 +201,10 @@ def _closed_form(a, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The per-system pieces (s, w, ok) of companion_discrete: Abar = 2T - I + p s^T.
 
     s is the closed form's s times 2 / D_{n-1}. Where ok is False, s and w
-    are zero.
+    are zero. dt follows errors.check_positive, for companion_discrete,
+    build_system and rollout too.
     """
-    if dt <= 0:
-        raise ConfigError(f"step size must be positive, got {dt}")
+    check_positive("dt", dt)
     a = np.asarray(a, dtype=float)
     n = a.shape[-1] - 1
     check_order(n)
@@ -272,10 +273,14 @@ def require_defined(a, ok, dt: float) -> None:
 
 
 def build_system(a, b, dt: float) -> KoopmanSystem:
-    """Assemble the system of one coefficient vector a around weights b."""
+    """Assemble the system of one coefficient vector a around weights b.
+
+    b must be non-empty and finite, else ConfigError; dt follows
+    errors.check_positive.
+    """
     b = np.atleast_1d(np.asarray(b, dtype=float))
-    if b.size == 0:
-        raise ConfigError("control weight vector must not be empty")
+    if not (b.size and np.isfinite(b).all()):
+        raise ConfigError(f"control weights must be a non-empty finite vector, got {b}")
     a = np.asarray(a, dtype=float)
     abar, w, ok = companion_discrete(a, dt)
     require_defined(a, ok, dt)

@@ -10,15 +10,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InputError
+from .errors import INT_MAX, InputError, is_integer
 
 # slack for arguments that land on +/-1 through floating-point maps
 _DOMAIN_TOL = 1e-12
 
 
 def _check_domain(s: np.ndarray) -> np.ndarray:
+    """s as floats clipped to [-1, 1]; InputError if any is NaN or beyond the slack."""
     s = np.asarray(s, dtype=float)
-    if np.any(np.abs(s) > 1.0 + _DOMAIN_TOL):
+    if not np.all(np.abs(s) <= 1.0 + _DOMAIN_TOL):
         raise InputError(f"basis argument outside [-1, 1]: max |s| = {np.max(np.abs(s))}")
     return np.clip(s, -1.0, 1.0)
 
@@ -27,10 +28,11 @@ def legendre_values(order: int, s) -> np.ndarray:
     """All Legendre values p_0(s) .. p_order(s), stacked on the first axis.
 
     Uses the stable three-term recurrence
-    (k+1) p_{k+1} = (2k+1) s p_k - k p_{k-1}.
+    (k+1) p_{k+1} = (2k+1) s p_k - k p_{k-1}. order is an integer from 0
+    (errors.is_integer), else InputError.
     """
-    if order < 0:
-        raise InputError(f"negative polynomial order: {order}")
+    if not (is_integer(order) and order >= 0):
+        raise InputError(f"order must be an integer from 0 to {INT_MAX}, got {order!r}")
     s = _check_domain(s)
     out = np.empty((order + 1,) + s.shape, dtype=float)
     out[0] = 1.0
@@ -66,7 +68,10 @@ def reconstruct(c, s):
 
 
 def gauss_legendre_rule(npts: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1], exact to degree 2*npts - 1."""
-    if npts < 1:
-        raise InputError(f"quadrature needs at least one node, got {npts}")
+    """Gauss-Legendre nodes and weights on [-1, 1], exact to degree 2*npts - 1.
+
+    npts is an integer from 1 (errors.is_integer), else InputError.
+    """
+    if not (is_integer(npts) and npts >= 1):
+        raise InputError(f"npts must be an integer from 1 to {INT_MAX}, got {npts!r}")
     return np.polynomial.legendre.leggauss(npts)

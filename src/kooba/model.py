@@ -42,7 +42,7 @@ import numpy as np
 from . import hippo, koopman
 from .data import window_count, windows
 from .errors import (ConfigError, InputError, NumericalError, TrainingAbortedError,
-                     check_integer, is_finite_number)
+                     check_integer, check_positive, is_finite_number)
 
 log = logging.getLogger(__name__)
 
@@ -63,8 +63,8 @@ class ModelConfig:
 
     method is one of hippo.METHODS and order follows koopman.check_order.
     Every other integer field follows check_integer from its least value in
-    _LEAST (stride may also be None), and learning_rate is a positive finite
-    number (is_finite_number). Any other value raises ConfigError.
+    _LEAST (stride may also be None), and learning_rate follows
+    check_positive. Any other value raises ConfigError.
     """
     method: str = "legs"
     order: int = 6
@@ -84,9 +84,7 @@ class ModelConfig:
         for name, least in _LEAST.items():
             if not (name == "stride" and self.stride is None):
                 check_integer(name, getattr(self, name), least)
-        lr = self.learning_rate
-        if not (is_finite_number(lr) and lr > 0):
-            raise ConfigError(f"learning_rate must be a positive finite number, got {lr!r}")
+        check_positive("learning_rate", self.learning_rate)
 
     @property
     def eff_stride(self) -> int:

@@ -4,12 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import lu_factor, lu_solve
 
-from kooba import (ConfigError, InputError, NumericalError, block_input, block_step,
+from kooba import (ConfigError, InputError, NumericalError, block_step,
                    build_basis, build_continuous, build_kernel,
                    discretize_bilinear, init_state, lookback_argument,
                    project, reconstruct, step)
 from kooba import hippo
-from kooba.hippo import CoefficientState
+from kooba.hippo import CoefficientState, block_input
 
 
 def test_sliding_family_order1_matrices():
