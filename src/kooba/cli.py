@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import logging
 import os
 import sys
@@ -26,7 +25,7 @@ from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 from . import hippo, model as model_mod
-from .data import LorenzParams, gen_lorenz, load_csv, normalize, split_controls
+from .data import LorenzParams, gen_lorenz, load_csv, normalize, save_json, split_controls
 from .errors import (ConfigError, KoobaError, NumericalError, TrainingAbortedError,
                      is_finite_number, is_integer)
 from .model import ModelConfig
@@ -39,12 +38,12 @@ SCHEMA_VERSION = 1
 # command adds its own. A dict kind is the shape of a nested object ({} leaves
 # its fields open); a tuple kind is a list of rows, each of the first shape, or
 # of the second when the row holds an "error" (a dataset that failed)
-_SCORED_FIELDS = {"dataset": "str", "config": {},
+_SCORED_FIELDS = {"dataset": "str",
                   "mse": {"per_feature": "list[number]", "mean": "number"},
                   "parameters": {"controls": "int", "total": "int", "format": "str"},
                   "loss_curve": "list[number]", "skipped_windows": "int"}
 REPORT_FIELDS = {
-    "report": {"schema": "int", "command": "str", "seed": "int"},
+    "report": {"schema": "int", "command": "str", "seed": "int", "config": {}},
     "train": {**_SCORED_FIELDS, "train_time_ms": "positive_number",
               "memory_bytes_estimate": "positive_int"},
     "eval": {**_SCORED_FIELDS, "eval_time_ms": "positive_number"},
@@ -173,12 +172,6 @@ def _scored_report(command: str, tag: str, config: ModelConfig,
                    skipped_windows=scores["skipped_windows"], **own)
 
 
-def _write_json(path: Path, doc: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
-
-
 def _write_loss_csv(path: Path, losses: list[float]) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -195,7 +188,7 @@ def cmd_train(ns: argparse.Namespace) -> int:
     out = Path(ns.out)
     out.mkdir(parents=True, exist_ok=True)
     model_mod.save_model(fitted, out / "model.json")
-    _write_json(out / "report.json", report)
+    save_json(out / "report.json", report)
     _write_loss_csv(out / "loss_curve.csv", report["loss_curve"])
     print(f"train {report['dataset']}: mean test MSE {report['mse']['mean']:.6g}, "
           f"{report['train_time_ms']:.1f} ms, parameters {report['parameters']['format']}")
@@ -217,7 +210,7 @@ def cmd_eval(ns: argparse.Namespace) -> int:
     report = _scored_report("eval", tag, config, loaded, scores, eval_time_ms=eval_ms)
     out = Path(ns.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "eval_report.json", report)
+    save_json(out / "eval_report.json", report)
     print(f"eval {tag}: mean test MSE {report['mse']['mean']:.6g}")
     return EXIT_OK
 
@@ -250,7 +243,7 @@ def cmd_bench(ns: argparse.Namespace) -> int:
             last_error_code = _exit_code_for(exc)
     out = Path(ns.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "bench_report.json", _report("bench", config, rows=rows))
+    save_json(out / "bench_report.json", _report("bench", config, rows=rows))
     for tag, fitted in models.items():
         model_mod.save_model(fitted, out / f"{tag}_model.json")
     for row in rows:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import logging
 from array import array
 from dataclasses import dataclass
@@ -193,6 +194,13 @@ def save_csv(path, names: list[str], table: np.ndarray) -> None:
         writer = csv.writer(fh)
         writer.writerow(names)
         writer.writerows(np.asarray(table, dtype=float).tolist())
+
+
+def save_json(path, doc: dict) -> None:
+    """Write a JSON document indented by two spaces, with a trailing newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
 
 
 @dataclass(frozen=True)

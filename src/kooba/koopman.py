@@ -15,7 +15,7 @@ returns the forecast's affine pieces in the control weights.
 
 Convention note: the derivative stack follows the rescaled chain rule
 d/ds p_n = n * p_{n-1}: the coefficient transform (poly_ode_coeffs) and the
-lift (lift_initial_state) scale by the same falling products (_falling). The
+lift (lift_initial_state) scale by the same falling products (_ode_scale). The
 lift is taken at the present edge s = 1, where every p_k(1) is exactly 1.
 This stack is not the window polynomial's. With c^_k = sqrt((2k+1)/2) c_k,
 readout of the unstepped lift is exactly
@@ -63,22 +63,15 @@ def check_order(order) -> None:
                           f"factorial rescaling is not exact in double precision)")
 
 
-def _falling(n: int) -> list[float]:
-    """Falling products (k+1)(k+2)...n for k = 0..n (1 at k = n), in Python floats."""
-    out = [1.0] * (n + 1)
-    for k in range(n - 1, -1, -1):
-        out[k] = out[k + 1] * (k + 1)
-    return out
-
-
 @lru_cache(maxsize=16)
 def _ode_scale(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """normalization(n) and _falling(n) as arrays, the factors of poly_ode_coeffs.
+    """normalization(n) and the falling products, the factors of poly_ode_coeffs.
 
-    rollout reads the lift off the falling products. Shared by every caller,
-    so read-only.
+    Falling product k is (k+1)(k+2)...n for k = 0..n, 1 at k = n.
+    lift_initial_state and rollout read the lift off them. Shared by every
+    caller, so read-only.
     """
-    norm, fall = normalization(n), np.array(_falling(n))
+    norm, fall = normalization(n), np.append(np.cumprod(np.arange(n, 0, -1.0))[::-1], 1.0)
     norm.flags.writeable = fall.flags.writeable = False
     return norm, fall
 
@@ -137,7 +130,7 @@ def lift_initial_state(order: int) -> LiftedState:
     the coefficient transform assumes.
     """
     check_order(order)
-    x = np.array(_falling(order)[:0:-1])
+    x = _ode_scale(order)[1][:0:-1].copy()          # the cached array is read-only
     return LiftedState(x=x, x1_prev=float(x[0]))
 
 

@@ -9,6 +9,7 @@ Everything here is a pure function of its arguments.
 from __future__ import annotations
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss, legval, legvander
 
 from .errors import INT_MAX, InputError, is_integer
 
@@ -27,20 +28,14 @@ def _check_domain(s: np.ndarray) -> np.ndarray:
 def legendre_values(order: int, s) -> np.ndarray:
     """All Legendre values p_0(s) .. p_order(s), stacked on the first axis.
 
-    Uses the stable three-term recurrence
+    numpy's legvander, which runs the stable three-term recurrence
     (k+1) p_{k+1} = (2k+1) s p_k - k p_{k-1}. order is an integer from 0
     (errors.is_integer), else InputError.
     """
     if not (is_integer(order) and order >= 0):
         raise InputError(f"order must be an integer from 0 to {INT_MAX}, got {order!r}")
     s = _check_domain(s)
-    out = np.empty((order + 1,) + s.shape, dtype=float)
-    out[0] = 1.0
-    if order >= 1:
-        out[1] = s
-    for k in range(1, order):
-        out[k + 1] = ((2 * k + 1) * s * out[k] - k * out[k - 1]) / (k + 1)
-    return out
+    return np.moveaxis(legvander(s, order), -1, 0).reshape((order + 1,) + s.shape)
 
 
 def legendre_eval(n: int, s):
@@ -60,11 +55,8 @@ def reconstruct(c, s):
     c = np.asarray(c, dtype=float)
     if c.ndim != 1 or c.size == 0:
         raise InputError("coefficient vector must be a non-empty 1-d array")
-    order = c.size - 1
-    values = legendre_values(order, s)
-    scaled = c * normalization(order)
-    out = np.tensordot(scaled, values, axes=(0, 0))
-    return float(out) if out.ndim == 0 else out
+    out = legval(_check_domain(s), c * normalization(c.size - 1))
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def gauss_legendre_rule(npts: int) -> tuple[np.ndarray, np.ndarray]:
@@ -74,4 +66,4 @@ def gauss_legendre_rule(npts: int) -> tuple[np.ndarray, np.ndarray]:
     """
     if not (is_integer(npts) and npts >= 1):
         raise InputError(f"npts must be an integer from 1 to {INT_MAX}, got {npts!r}")
-    return np.polynomial.legendre.leggauss(npts)
+    return leggauss(npts)

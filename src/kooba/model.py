@@ -40,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import hippo, koopman
-from .data import window_count, windows
+from .data import save_json, window_count, windows
 from .errors import (ConfigError, InputError, NumericalError, TrainingAbortedError,
                      check_integer, check_positive, is_finite_number)
 
@@ -577,9 +577,7 @@ def save_model(model: FlightKoobaModel, path) -> None:
         "loss_history": [float(v) for v in model.loss_history],
         "skipped_windows": model.skipped_windows,
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    save_json(path, doc)
 
 
 def load_model(path) -> FlightKoobaModel:

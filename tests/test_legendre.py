@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import eval_legendre
 
 from kooba import (InputError, gauss_legendre_rule, legendre_eval,
                    legendre_values, reconstruct)
@@ -22,6 +23,26 @@ def test_low_orders_match_monomial_forms():
     values = legendre_values(6, s)
     for n, ref in enumerate(expected):
         np.testing.assert_allclose(values[n], ref, atol=1e-12)
+
+
+# 2,001 even points on [-1, 1], and two a hair inside the ends
+ORACLE_POINTS = np.concatenate([np.linspace(-1.0, 1.0, 2001), [-(1.0 - 1e-13), 1.0 - 1e-13]])
+
+
+def test_values_match_scipy_up_to_order_32():
+    values = legendre_values(32, ORACLE_POINTS)
+    for n in range(33):
+        np.testing.assert_allclose(values[n], eval_legendre(n, ORACLE_POINTS), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("order", [6, 24, 32])
+def test_reconstruct_matches_the_sum_of_scipy_values(order):
+    c = np.random.default_rng(order).normal(size=order + 1)
+    expected = sum(c[n] * normalization(order)[n] * eval_legendre(n, ORACLE_POINTS)
+                   for n in range(order + 1))
+    # relative to the largest value, since the sum crosses zero
+    error = np.max(np.abs(reconstruct(c, ORACLE_POINTS) - expected))
+    assert error <= 1e-12 * np.max(np.abs(expected))
 
 
 def test_endpoint_values_are_exact():
