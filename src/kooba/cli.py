@@ -38,12 +38,12 @@ SCHEMA_VERSION = 1
 # command adds its own. A dict kind is the shape of a nested object ({} leaves
 # its fields open); a tuple kind is a list of rows, each of the first shape, or
 # of the second when the row holds an "error" (a dataset that failed)
-_SCORED_FIELDS = {"dataset": "str",
+_SCORED_FIELDS = {"dataset": "str", "config": {},
                   "mse": {"per_feature": "list[number]", "mean": "number"},
                   "parameters": {"controls": "int", "total": "int", "format": "str"},
                   "loss_curve": "list[number]", "skipped_windows": "int"}
 REPORT_FIELDS = {
-    "report": {"schema": "int", "command": "str", "seed": "int", "config": {}},
+    "report": {"schema": "int", "command": "str", "seed": "int"},
     "train": {**_SCORED_FIELDS, "train_time_ms": "positive_number",
               "memory_bytes_estimate": "positive_int"},
     "eval": {**_SCORED_FIELDS, "eval_time_ms": "positive_number"},

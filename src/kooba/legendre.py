@@ -30,12 +30,13 @@ def legendre_values(order: int, s) -> np.ndarray:
 
     numpy's legvander, which runs the stable three-term recurrence
     (k+1) p_{k+1} = (2k+1) s p_k - k p_{k-1}. order is an integer from 0
-    (errors.is_integer), else InputError.
+    (errors.is_integer), else InputError. The result is a fresh C-contiguous
+    array, so each row p_n(s) is read in one run.
     """
     if not (is_integer(order) and order >= 0):
         raise InputError(f"order must be an integer from 0 to {INT_MAX}, got {order!r}")
     s = _check_domain(s)
-    return np.moveaxis(legvander(s, order), -1, 0).reshape((order + 1,) + s.shape)
+    return np.moveaxis(legvander(s, order), -1, 0).reshape((order + 1,) + s.shape).copy()
 
 
 def legendre_eval(n: int, s):

