@@ -210,7 +210,6 @@ class TimeSeriesDataset:
     Test rows keep whatever value the train-fitted scaler gives them; values
     outside [0, 1] are not clipped.
     """
-    names: list[str]
     features: np.ndarray
     split_index: int
     col_min: np.ndarray
@@ -243,8 +242,7 @@ def normalize(names: list[str], table: np.ndarray) -> TimeSeriesDataset:
         raise InputError(f"column {names[flat[0]]!r} is constant over the train split "
                          f"(the first {split} rows), so it cannot be scaled")
     features = (table - cmin) / (cmax - cmin)
-    return TimeSeriesDataset(names=list(names), features=features,
-                             split_index=split, col_min=cmin, col_max=cmax)
+    return TimeSeriesDataset(features=features, split_index=split, col_min=cmin, col_max=cmax)
 
 
 def split_controls(dataset: TimeSeriesDataset, k: int) -> tuple[np.ndarray, np.ndarray]:

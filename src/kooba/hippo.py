@@ -80,25 +80,26 @@ def discretize_bilinear(n_mat: np.ndarray, m_vec: np.ndarray,
 
 @dataclass(frozen=True)
 class HippoBasis:
-    """Immutable operator bundle: continuous (N, M) plus discrete (Nbar, Mbar)."""
+    """The discrete recurrence c' = Nbar c + Mbar y of one operator family.
+
+    method, order and omega name the family's (N, M) as build_continuous
+    takes them; build_basis discretizes that pair at its dt.
+    """
     method: str
     order: int
-    dt: float
     omega: float | None
-    N: np.ndarray
-    M: np.ndarray
     Nbar: np.ndarray
     Mbar: np.ndarray
 
 
-def build_basis(method: str, order: int, dt: float = 1.0,
+def build_basis(method: str, order: int, dt: float,
                 omega: float | None = None) -> HippoBasis:
     """Construct and discretize a basis; asserts the update is stable.
 
-    dt defaults to one sample period; order, omega and dt follow the rules of
-    build_continuous and discretize_bilinear. The spectral radius of Nbar is
-    checked at construction and construction fails loudly if the discrete
-    update could amplify state.
+    order, omega and dt follow the rules of build_continuous and
+    discretize_bilinear. The spectral radius of Nbar is checked at
+    construction and construction fails loudly if the discrete update could
+    amplify state.
     """
     n_mat, m_vec = build_continuous(method, order, omega)
     nbar, mbar = discretize_bilinear(n_mat, m_vec, dt)
@@ -107,8 +108,7 @@ def build_basis(method: str, order: int, dt: float = 1.0,
         raise NumericalError(
             f"discrete update is unstable: spectral radius {radius:.6f} "
             f"(method={method}, order={order}, dt={dt}, omega={omega})")
-    return HippoBasis(method=method, order=order, dt=dt, omega=omega,
-                      N=n_mat, M=m_vec, Nbar=nbar, Mbar=mbar)
+    return HippoBasis(method=method, order=order, omega=omega, Nbar=nbar, Mbar=mbar)
 
 
 @dataclass(frozen=True)

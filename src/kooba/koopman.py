@@ -36,7 +36,7 @@ from math import isfinite
 import numpy as np
 
 from .errors import (ConfigError, DegenerateCoefficientsError, InputError, NumericalError,
-                     check_positive)
+                     check_positive, is_integer)
 from .legendre import normalization
 
 # double-precision factorials are exact only up to about 32!; beyond that the
@@ -49,7 +49,7 @@ SINGULAR_TOL = 1e-14
 
 
 def check_order(order) -> None:
-    """The order rule: an int from 1 to MAX_DIRECT_ORDER, else ConfigError.
+    """The order rule: errors.is_integer from 1 to MAX_DIRECT_ORDER, else ConfigError.
 
     ModelConfig applies it to its order field, and poly_ode_coeffs,
     build_companion, companion_discrete (so rollout and build_system too) and
@@ -57,7 +57,7 @@ def check_order(order) -> None:
     state empty, and beyond MAX_DIRECT_ORDER the factorial-sized rescaling is
     no longer exact in double precision.
     """
-    if type(order) is not int or not 1 <= order <= MAX_DIRECT_ORDER:
+    if not (is_integer(order) and 1 <= order <= MAX_DIRECT_ORDER):
         raise ConfigError(f"order must be an integer from 1 to {MAX_DIRECT_ORDER}, got {order!r} "
                           f"(order 0 has no lifted state, and beyond {MAX_DIRECT_ORDER} the "
                           f"factorial rescaling is not exact in double precision)")

@@ -581,7 +581,8 @@ def save_model(model: FlightKoobaModel, path) -> None:
 
 
 def load_model(path) -> FlightKoobaModel:
-    """Read a model document, checking the format version, removed options and field types."""
+    """Read a model document, checking the format version, removed options,
+    unknown config fields and field types."""
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -603,9 +604,11 @@ def load_model(path) -> FlightKoobaModel:
                                   f"was removed and only its old default {default!r} loads")
         config = ModelConfig(**values)
         b, loss_history, skipped = doc["b"], doc["loss_history"], doc["skipped_windows"]
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise ConfigError(f"model file {path} is missing fields for format "
                           f"version {MODEL_FORMAT}: {exc}") from exc
+    except TypeError as exc:    # {**config} of a non-object, or a field ModelConfig lacks
+        raise ConfigError(f"model file {path}: unknown field or non-object config: {exc}") from exc
     # JSON numbers only: text, booleans and non-finite values are not coerced
     m = config.controls
     if not (isinstance(b, list) and b and all(

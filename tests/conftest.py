@@ -1,3 +1,4 @@
+import gc
 import tracemalloc
 
 import numpy as np
@@ -9,14 +10,22 @@ from kooba.model import _chunks, _windows, build_basis
 
 
 def traced_peak(fn, *args):
-    """tracemalloc high-water mark of fn(*args), after one untraced warm-up call."""
-    fn(*args)
-    tracemalloc.start()
+    """tracemalloc high-water mark of fn(*args), after one untraced warm-up call.
+
+    The collector is off from the warm-up to the end of the trace: a full
+    collection empties CPython's float, tuple, list and dict free lists, and
+    one that falls between the warm-up and the trace, wherever earlier tests
+    leave the collector's counts, makes the trace read about 2 KB more.
+    """
+    gc.disable()
     try:
+        fn(*args)
+        tracemalloc.start()
         fn(*args)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+        gc.enable()
 
 
 def flight_track_dataset(rows=20_000, seed=0):

@@ -119,8 +119,9 @@ def test_step_matches_implicit_trapezoid_solve():
     rng = np.random.default_rng(0)
     c = rng.normal(size=7)
     out = step(CoefficientState(c=c, step_index=3), 0.7, basis)
-    lhs = np.eye(7) - 0.025 * basis.N
-    rhs = (np.eye(7) + 0.025 * basis.N) @ c + 0.05 * basis.M * 0.7
+    n_mat, m_vec = build_continuous("legs", 6)
+    lhs = np.eye(7) - 0.025 * n_mat
+    rhs = (np.eye(7) + 0.025 * n_mat) @ c + 0.05 * m_vec * 0.7
     np.testing.assert_allclose(out.c, np.linalg.solve(lhs, rhs), atol=1e-12)
     assert out.step_index == 4
 

@@ -72,6 +72,11 @@ def test_order_limits():
             poly_ode_coeffs(empty)
 
 
+def test_non_finite_coefficients_raise_numerical_error():
+    with pytest.raises(NumericalError, match="non-finite ODE coefficients"):
+        poly_ode_coeffs(np.array([0.5, np.nan, 2.0]))
+
+
 @pytest.mark.parametrize("order", [0, 33])
 def test_order_rule(order):
     # check_order is the one statement of both bounds, for the config and
@@ -318,6 +323,9 @@ def test_readout_uses_retained_first_entry():
     assert readout(sys, state) == pytest.approx(0.5 * 7.0 - 1.0 * 3.0 + 2.0 * 4.0)
     with pytest.raises(InputError):
         readout(sys, LiftedState(x=np.array([1.0]), x1_prev=0.0))
+    # NaN, not overflow, reaches the guard: overflow warns first, and warnings are errors
+    with pytest.raises(NumericalError, match="non-finite readout"):
+        readout(sys, LiftedState(x=np.array([3.0, np.nan]), x1_prev=7.0))
 
 
 def test_damped_oscillator_step_response():

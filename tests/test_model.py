@@ -361,6 +361,10 @@ def test_predict_edge_cases():
         with pytest.raises(InputError,
                            match=f"u_future column 0 holds the non-finite value {value} at row 1$"):
             predict(model, state, [[1.0], [value]])
+    # fit and load_model never give NaN weights, but a model built by hand can
+    with pytest.raises(NumericalError, match="non-finite forecast"):
+        predict(FlightKoobaModel(config=config, b=np.full((1, 1), np.nan)), state,
+                np.ones((3, 1)))
     # a non-finite coefficient state is an input fault, named by its entry
     for entry, value in ((2, np.nan), (0, -np.inf)):
         c = state.c.copy()
@@ -471,6 +475,25 @@ def test_model_file_setting_a_removed_option_is_rejected(tmp_path, key, value):
                    "--out", str(tmp_path / "ev")])
     assert rc == cli.EXIT_CONFIG
     assert not (tmp_path / "ev").exists()
+
+
+@pytest.mark.parametrize("config, named", [
+    ({"foo": 1}, "unexpected keyword argument 'foo'"),
+    ([3], "'list' object is not a mapping"),
+    ("legs", "'str' object is not a mapping")])
+def test_model_file_with_an_unknown_or_non_object_config_says_so(tmp_path, config, named):
+    # neither fault is a missing field, and each fails like any bad config (exit 2)
+    doc = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    doc["config"] = {**doc["config"], **config} if isinstance(config, dict) else config
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ConfigError, match="unknown field or non-object config") as err:
+        load_model(path)
+    assert named in str(err.value)
+    assert "missing fields" not in str(err.value)
+    rc = cli.main(["eval", "--model", str(path), "--dataset", "lorenz",
+                   "--out", str(tmp_path / "ev")])
+    assert rc == cli.EXIT_CONFIG
 
 
 def test_ragged_weights_are_rejected(tmp_path):
