@@ -17,6 +17,7 @@ from .errors import ConfigError, InputError, NumericalError, check_integer
 log = logging.getLogger(__name__)
 
 _BLOWUP_LIMIT = 1e6
+_CSV_BLOCK_CELLS = 2048   # Python floats save_csv holds at once, however long the table
 TRAIN_FRAC = 0.7      # the first 70% of the rows fit the scaler and train the model
 
 
@@ -188,12 +189,22 @@ def load_csv(path) -> tuple[list[str], np.ndarray]:
 def save_csv(path, names: list[str], table: np.ndarray) -> None:
     """Write a feature table in the same schema load_csv reads.
 
-    Each cell is the repr of its float, which reads back bit for bit.
+    Each cell is the repr of its float, which reads back bit for bit. The
+    rows are written one block of at most _CSV_BLOCK_CELLS (2,048) cells, and
+    at least one row, at a time, so memory does not grow with the table. A
+    table that is not 2-d, or whose width is not len(names), raises
+    InputError.
     """
+    table = np.asarray(table, dtype=float)
+    if table.ndim != 2 or table.shape[1] != len(names):
+        raise InputError(f"need a 2-d table with one column per name, got shape "
+                         f"{table.shape} for {len(names)} names")
+    rows = max(1, _CSV_BLOCK_CELLS // max(1, table.shape[1]))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(names)
-        writer.writerows(np.asarray(table, dtype=float).tolist())
+        for lo in range(0, table.shape[0], rows):
+            writer.writerows(table[lo:lo + rows].tolist())
 
 
 def save_json(path, doc: dict) -> None:

@@ -31,6 +31,7 @@ converges.
 
 from __future__ import annotations
 
+import gc
 import json
 import logging
 import tracemalloc
@@ -406,12 +407,16 @@ def table_build_peak(config: ModelConfig, states, controls) -> int:
     tracemalloc, and the table rows of the other windows are added; no timed
     call runs under tracemalloc. A caller that is already tracing keeps its
     trace, but its peak is reset, and its own blocks are left out of the
-    result. As the first call of its config in a process it reads about 3.9%
-    high, because first-use caches (koopman's lru_caches, numpy's small-array
-    caches) fall inside its short trace: call it after fit on the same rows.
+    result. The garbage collector is off for the trace and then restored: a
+    collection inside it empties CPython's free lists, and the objects the
+    trace then allocates afresh read about 2 KB high. As the first call of
+    its config in a process it reads about 3.9% high, because first-use
+    caches (koopman's lru_caches, numpy's small-array caches) fall inside its
+    short trace: call it after fit on the same rows.
     Raises fit's InputError on every row set that fit rejects.
     """
-    tracing = tracemalloc.is_tracing()
+    tracing, collecting = tracemalloc.is_tracing(), gc.isenabled()
+    gc.disable()
     tracemalloc.start()             # does nothing when the caller is tracing
     tracemalloc.reset_peak()
     try:
@@ -432,6 +437,8 @@ def table_build_peak(config: ModelConfig, states, controls) -> int:
     finally:
         if not tracing:
             tracemalloc.stop()
+        if collecting:
+            gc.enable()
     return peak + (n_win - k) * 8 * _table_columns(config, n_feat)
 
 

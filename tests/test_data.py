@@ -8,6 +8,8 @@ from scipy.integrate import solve_ivp
 from kooba import (ConfigError, InputError, LorenzParams, NumericalError, data, gen_lorenz,
                    load_csv, normalize, save_csv, split_controls, window_count, windows)
 
+from conftest import traced_peak
+
 EQUILIBRIUM = (np.sqrt(72.0), np.sqrt(72.0), 27.0)
 
 
@@ -120,6 +122,53 @@ def test_csv_text_is_exact(tmp_path):
     path = tmp_path / "t.csv"
     save_csv(path, ["a", "b"], np.array([[-0.0, 5e-324], [1e308, np.nextafter(1.0, 2.0)]]))
     assert path.read_bytes() == b"a,b\r\n-0.0,5e-324\r\n1e+308,1.0000000000000002\r\n"
+
+
+# names that csv.writer must quote, and cells whose repr is at an edge of float64
+QUOTED_NAMES = ["x,km", 'say "hi"', "two\nlines", "cr\rend", "crlf\r\nend"]
+EDGE_CELLS = [-0.0, 5e-324, 1e308, np.nextafter(1.0, 2.0)]
+
+
+@pytest.mark.parametrize("width", [1, 5])
+@pytest.mark.parametrize("blocks, extra", [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1)],
+                         ids=["no-rows", "one-row", "block-minus-one", "one-block",
+                              "block-plus-one"])
+def test_save_csv_writes_what_one_csv_writer_call_writes(tmp_path, width, blocks, extra):
+    rows = blocks * (data._CSV_BLOCK_CELLS // width) + extra
+    table = np.random.default_rng(rows).normal(size=(rows, width)) * 1e3
+    cells = table.reshape(-1)
+    cells[:len(EDGE_CELLS)] = EDGE_CELLS[:cells.size]
+    names = QUOTED_NAMES[:width]
+    reference = tmp_path / "reference.csv"
+    with open(reference, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(names)
+        writer.writerows(table.tolist())
+    path = tmp_path / "t.csv"
+    save_csv(path, names, table)
+    assert path.read_bytes() == reference.read_bytes()
+
+
+def test_save_csv_memory_does_not_grow_with_the_table(tmp_path):
+    # the rows go out one block at a time, so the whole table is never a list
+    rng = np.random.default_rng(9)
+    names = ["x_km", "y_km", "alt_m", "speed_mps", "climb_cmd_mps"]
+    peaks = {rows: traced_peak(save_csv, tmp_path / f"{rows}.csv", names,
+                               rng.normal(size=(rows, len(names))))
+             for rows in (10_000, 40_000)}
+    assert peaks[40_000] <= 1.1 * peaks[10_000]
+
+
+@pytest.mark.parametrize("names, table, shape", [
+    (["a"], np.ones(3), r"\(3,\)"),
+    (["a", "b"], np.ones((2, 2, 2)), r"\(2, 2, 2\)"),
+    (["a", "b"], np.ones((4, 3)), r"\(4, 3\)"),
+], ids=["one-d", "three-d", "width-is-not-the-name-count"])
+def test_save_csv_rejects_a_table_that_does_not_fit_its_names(tmp_path, names, table, shape):
+    path = tmp_path / "t.csv"
+    with pytest.raises(InputError, match=f"shape {shape} for {len(names)} names$"):
+        save_csv(path, names, table)
+    assert not path.exists()
 
 
 TRACK = ("phase,x_km,squawk,alt_m\n"

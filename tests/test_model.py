@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import json
 import logging
 import re
@@ -916,6 +917,30 @@ def test_table_build_peak_keeps_a_callers_trace(lorenz_train):
         tracemalloc.stop()
     assert held.nbytes == 1 << 20
     assert abs(traced - plain) <= 0.01 * plain
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+def test_table_build_peak_holds_the_collector_off_while_it_traces(lorenz_train, enabled):
+    # a collection inside the trace empties the free lists, and the objects
+    # allocated afresh then read high; at threshold 1 one would start at once
+    started_while_tracing = []
+
+    def watch(phase, info):
+        if phase == "start" and tracemalloc.is_tracing():
+            started_while_tracing.append(info["generation"])
+
+    was_enabled, threshold = gc.isenabled(), gc.get_threshold()
+    gc.callbacks.append(watch)
+    gc.set_threshold(1)
+    (gc.enable if enabled else gc.disable)()
+    try:
+        table_build_peak(ModelConfig(), *lorenz_train)
+        assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+        gc.set_threshold(*threshold)
+        gc.callbacks.remove(watch)
+    assert started_while_tracing == []
 
 
 def _descend_on_whole_regression(config, states, controls):
